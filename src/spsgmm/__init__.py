@@ -10,7 +10,6 @@ classifies intervals as speech or music; the evaluation harness reruns
 stratified 70:30 splits and reports macro-F statistics.
 """
 
-from ._kernels import active_backend, set_backend
 from .audio_io import (
     AudioInterval,
     AudioSignal,

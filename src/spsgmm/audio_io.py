@@ -186,7 +186,7 @@ def _scan_dir(directory, label, interval_s, intervals, report):
             continue
         try:
             sig = decode_wav(path)
-            ivs = segment_intervals(sig, interval_s, source_id=name, label=label)
+            ivs = segment_intervals(sig, interval_s, source_id=f"{label}/{name}", label=label)
         except (DecodeError, InputError) as exc:
             report.skipped.append((path, str(exc)))
             continue
@@ -197,9 +197,10 @@ def _scan_dir(directory, label, interval_s, intervals, report):
 
 def scan_corpus(speech_dir, music_dir, interval_s=1.0):
     """Load every decodable file under the two class directories into labeled
-    intervals (lexicographic file order, then interval index).  Undecodable
-    files are skipped and recorded in the returned ScanReport; a class ending
-    up with zero usable intervals is an error."""
+    intervals (lexicographic file order, then interval index), each with the
+    source id "<label>/<file name>" so equal file names in the two classes
+    stay distinct.  Undecodable files are skipped and recorded in the returned
+    ScanReport; a class ending up with zero usable intervals is an error."""
     for d in (speech_dir, music_dir):
         if not os.path.isdir(d):
             raise InputError(f"not a directory: {d}")

@@ -23,7 +23,7 @@ from .evaluate import (
     trials_csv_lines,
 )
 from .pipeline import BASE_KINDS
-from .spectral import frame_interval, magnitude_spectra, make_frame_config, spectrogram_csv_lines
+from .spectral import WINDOWS, frame_interval, magnitude_spectra, make_frame_config, spectrogram_csv_lines
 from .sps_core import build_peak_matrix, sps_csv_lines
 from .sps_features import compute_attributes, distribution_csv_lines, feature_csv_lines
 
@@ -34,7 +34,6 @@ _FEATURE_FLAG = {
     "fused": "early_fused",
     "late-fused": "late_fused",
 }
-_WINDOW_FLAG = {"rect": "rect", "hamming": "hamming"}
 
 
 def _add_pipeline_flags(p):
@@ -46,15 +45,13 @@ def _add_pipeline_flags(p):
                    help="frame shift (default: 1)")
     p.add_argument("--p", type=int, default=20,
                    help="peaks kept per frame (default: 20)")
-    p.add_argument("--window", choices=sorted(_WINDOW_FLAG), default="rect",
+    p.add_argument("--window", choices=WINDOWS, default="rect",
                    help="analysis window (default: rect)")
     p.add_argument("--seed", type=int, default=0,
                    help="master seed for all randomness (default: 0)")
 
 
 def _add_eval_flags(p):
-    p.add_argument("--classifier", choices=["gmm"], default="gmm",
-                   help="classifier family (default: gmm)")
     p.add_argument("--k-grid", default="1,2,4,8,16,32",
                    help="comma-separated GMM component grid (default: 1,2,4,8,16,32)")
     p.add_argument("--trials", type=int, default=20,

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import InputError
 from .spectral import MagnitudeSpectrum
 
@@ -82,7 +81,25 @@ def build_peak_matrix(spectra, p):
         raise InputError(f"need at least 2 spectra, got {L}")
     if p < 1:
         raise InputError(f"p must be >= 1, got {p}")
-    data, peakless = _kernels.peak_matrix(mags, p)
+    mags = np.ascontiguousarray(mags, np.float64)
+    data = np.zeros((p, L), np.int64)
+    peakless = 0
+    if n_bins >= 3:
+        inner = mags[:, 1:-1]
+        is_peak = (inner > mags[:, :-2]) & (inner > mags[:, 2:])
+    else:
+        is_peak = np.zeros((L, 0), np.bool_)
+    for l in range(L):
+        ks = np.nonzero(is_peak[l])[0] + 1
+        if ks.size == 0:
+            peakless += 1
+            continue
+        order = np.argsort(-mags[l, ks], kind="stable")
+        q = min(ks.size, p)
+        chosen = ks[order[:q]]
+        if q < p:
+            chosen = np.concatenate([chosen, np.full(p - q, chosen[q - 1])])
+        data[:, l] = np.sort(chosen)[::-1]
     return PeakSequenceMatrix(data=data, p=p, L=L, n_f=n_bins, peakless_frames=peakless)
 
 

@@ -1,16 +1,21 @@
 """Stage two: per-row statistics of the peak-sequence matrix.
 
 Each row of the matrix is treated as a time series over frames.  All averages
-use the population convention (1/L), and the float accumulations that feed
-them run strictly left to right so that results are bit-compatible with a
-naive reference implementation (see _kernels for why the order matters).
+use the population convention (1/L).  The statistics follow from exact integer
+sums: with D = L*S - sum(S) (so that L*C = D), the biased autocorrelation is
+A[tau] = R[tau] / L**3 with the integer R[tau] = sum_l D[l] * D[l + tau], and
+the centroid, the standard deviation and the gap variance of sps_p are integer
+ratios too.  Each value is the exact one, correctly rounded once.  While
+R < 2**52 (every interval up to about 5 s at 22050 Hz with a 1 ms hop), that
+rounding keeps the strict order of distinct R values, so the maxima sps_p finds
+on the rounded autocorrelation are those of the exact one; beyond that point
+they are found on correctly rounded values.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import ConfigError, InputError
 from .sps_core import PeakSequenceMatrix
 
@@ -55,18 +60,42 @@ def _matrix_data(m):
 
 def compute_attributes(m):
     """Centroid, centered rows, and biased autocorrelation up to the lag cap
-    (L/2 for even L, (L+1)/2 for odd)."""
+    (L/2 for even L, (L+1)/2 for odd) of a matrix of non-negative integer
+    bin indices."""
     S = _matrix_data(m)
     if S.ndim != 2 or S.shape[1] < 2:
         raise InputError(f"need a (p, L>=2) matrix, got shape {S.shape}")
-    Sf = S.astype(np.float64)
-    totals = np.add.accumulate(Sf, axis=1)[:, -1]
+    if not np.issubdtype(S.dtype, np.integer) or S.min(initial=0) < 0:
+        raise InputError(f"need non-negative integer bin indices, got a {S.dtype} matrix")
     L = S.shape[1]
-    mu = totals / L
+    hi = int(S.max(initial=0))
+    # int64 holds every R, and float64 every lagged sum of products, exactly
+    if L**3 * hi**2 >= 2**63 or L * hi**2 >= 2**53:
+        raise InputError(
+            f"peak matrix too large for exact autocorrelation: L = {L}, max bin = {hi}"
+        )
+    Si = S.astype(np.int64)
+    Sf = S.astype(np.float64)
+    T = Si.sum(axis=1)[:, None]
+    mu = T[:, 0] / L
     C = Sf - mu[:, None]
     cap = lag_cap(L)
-    A = _kernels.row_autocorr(C, cap)
-    return SpsAttributes(centroids=mu, centered=C, autocorr=A, lag_cap=cap)
+    tau = np.arange(cap + 1)
+    # P[tau] = sum_l S[l] * S[l + tau]; integer partial sums below 2**53 are
+    # exact in float64
+    padded = np.zeros(L + cap)
+    P = np.empty((S.shape[0], cap + 1), np.int64)
+    for r, row in enumerate(Sf):
+        padded[:L] = row
+        P[r] = np.correlate(padded, row, "valid")
+    cs = np.zeros((S.shape[0], L + 1), np.int64)
+    np.cumsum(Si, axis=1, out=cs[:, 1:])
+    head = cs[:, L - tau]  # sum of S[l] for l < L - tau
+    tail = T - cs[:, tau]  # sum of S[l] for l >= tau
+    # The products may wrap around in int64, but R itself is below 2**63 in
+    # magnitude, so the wrapped terms cancel to the exact value.
+    R = L * L * P - L * T * (head + tail) + (L - tau) * T * T
+    return SpsAttributes(centroids=mu, centered=C, autocorr=R / L**3, lag_cap=cap)
 
 
 def _provenance(kw):
@@ -85,9 +114,8 @@ def _gap_variance(a):
     if lags.size < 3:
         return 0.0
     gaps = np.diff(lags)
-    mean = gaps.sum() / gaps.size
-    dev = gaps - mean
-    return np.add.accumulate(dev * dev)[-1] / gaps.size
+    n, s1, s2 = gaps.size, int(gaps.sum()), int((gaps * gaps).sum())
+    return (n * s2 - s1 * s1) / (n * n)
 
 
 def sps_periodicity(attrs, **kw):
@@ -114,11 +142,8 @@ def sps_scg(m, attrs, **kw):
     p = S.shape[0]
     if p < 2:
         raise ConfigError(f"sps_scg needs p >= 2 rows, got {p}")
-    L = S.shape[1]
     mu = attrs.centroids
-    C = attrs.centered
-    sq = np.add.accumulate(C * C, axis=1)[:, -1]
-    sigma = np.sqrt(sq / L)
+    sigma = np.sqrt(attrs.autocorr[:, 0])
     dmu = np.empty(p)
     dmu[0] = mu[1] - mu[0]
     dmu[1:-1] = (mu[2:] - mu[:-2]) / 2

@@ -1,5 +1,5 @@
-"""Shared fixtures: deterministic hypothesis profile, kernel warmup,
-independent WAV byte builders, synthetic corpora on disk, and a CLI runner.
+"""Shared fixtures: deterministic hypothesis profile, independent WAV byte
+builders, synthetic corpora on disk, and a CLI runner.
 
 The WAV builders here are written from the RIFF byte layout on purpose, so
 decoder tests compare against bytes assembled independently of the package's
@@ -24,16 +24,6 @@ settings.register_profile(
 settings.load_profile("det")
 
 SR = 22050
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger any jit compilation once so timings elsewhere are honest."""
-    from spsgmm import _kernels
-
-    rng = np.random.default_rng(0)
-    _kernels.peak_matrix(np.abs(rng.standard_normal((4, 16))), 3)
-    _kernels.row_autocorr(rng.standard_normal((2, 8)), 4)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,17 @@ imports from spsgmm and nothing uses numpy, so agreement between these
 references and the fast implementations is meaningful evidence rather than a
 tautology.
 
-Summation order is part of the contract: the package promises results that are
-bit-compatible with adding terms strictly left to right (which is what
-``sum()`` and the explicit loops below do), so the comparisons in the test
-suite can use a 1e-12 tolerance even where one ulp of the running sum is
-larger than that.
+The row statistics are exact: lagged sums, variances and centroids are formed
+from Python integers and ``Fraction``, and rounded to float once at the end.
+The package promises the same correctly rounded values as long as the integer
+autocorrelation sums stay below 2**52 (intervals up to about 5 s at 22050 Hz
+with a 1 ms hop), so the test suite compares them for bit equality.
 """
 
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -90,25 +91,34 @@ def lag_cap(L):
     return L // 2 if L % 2 == 0 else (L + 1) // 2
 
 
+def exact_autocorr(row):
+    """Biased autocorrelation (1/L) sum C[l] C[l+tau] of an integer row, as
+    exact Fractions for lags 0..lag_cap(L).  With C = S - mean(S), every
+    product is formed from L*C = L*S - sum(S), an integer."""
+    L = len(row)
+    total = sum(row)
+    D = [L * s - total for s in row]
+    return [
+        Fraction(sum(D[l] * D[l + tau] for l in range(L - tau)), L**3)
+        for tau in range(lag_cap(L) + 1)
+    ]
+
+
 def attributes(S):
-    """(mu, C, A) for a matrix S given as a list of rows."""
+    """(mu, C, A) for an integer matrix S given as a list of rows; A is the
+    exact autocorrelation rounded once to float."""
     L = len(S[0])
-    cap = lag_cap(L)
     mu = [sum(row) / L for row in S]
     C = [[S[r][l] - mu[r] for l in range(L)] for r in range(len(S))]
-    A = []
-    for row in C:
-        a = []
-        for tau in range(cap + 1):
-            a.append(sum(row[l] * row[l + tau] for l in range(L - tau)) / L)
-        A.append(a)
+    A = [[float(a) for a in exact_autocorr(row)] for row in S]
     return mu, C, A
 
 
 def population_variance(xs):
+    """Exact population variance of integers, rounded once to float."""
     n = len(xs)
-    mean = sum(xs) / n
-    return sum((x - mean) * (x - mean) for x in xs) / n
+    mean = Fraction(sum(xs), n)
+    return float(sum((x - mean) ** 2 for x in xs) / n)
 
 
 def sps_p(A):
@@ -145,10 +155,8 @@ def sps_scg(S):
     p = len(S)
     L = len(S[0])
     mu = [sum(row) / L for row in S]
-    sigma = []
-    for r in range(p):
-        sq = sum((S[r][l] - mu[r]) * (S[r][l] - mu[r]) for l in range(L))
-        sigma.append(math.sqrt(sq / L))
+    # square root of the correctly rounded population variance
+    sigma = [math.sqrt(population_variance(row)) for row in S]
     dmu = [mu[1] - mu[0]]
     for r in range(1, p - 1):
         dmu.append((mu[r + 1] - mu[r - 1]) / 2)

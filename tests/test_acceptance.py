@@ -1,7 +1,7 @@
 """Acceptance gate: one test per shipped guarantee, so `pytest -v` prints one
 pass/fail line per criterion.
 
-c1  every defining formula agrees with naive references (1e-12, < 30 s)
+c1  every defining formula agrees with naive references (exactly, < 30 s)
 c2  analytic invariants of the features hold on seeded sweeps
 c3  the spectral transform matches a direct DFT, pure tones, and Parseval
 c4  desk-scale synthetic experiment: centroid stats lead, mean F >= 0.90
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 import oracles
-from spsgmm import _kernels
 from spsgmm.audio_io import AudioInterval, scan_corpus
 from spsgmm.evaluate import TrialConfig, f_score, run_experiment
 from spsgmm.pipeline import BASE_KINDS, extract_corpus, extract_features
@@ -53,7 +52,7 @@ def _interval(samples, label=None, source="acc"):
 
 def test_c1_formula_reference_sweep():
     """1000+ random instances of every derived formula against the pure-Python
-    references, exact for integers and 1e-12 for floats, in under 30 s."""
+    references, bit for bit, in under 30 s."""
     rng = np.random.default_rng(101)
     t0 = time.perf_counter()
     n_iter = 1000
@@ -82,21 +81,14 @@ def test_c1_formula_reference_sweep():
 
         attrs = compute_attributes(m)
         mu, C, A = oracles.attributes(m.data.tolist())
-        np.testing.assert_allclose(attrs.centroids, mu, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(attrs.centered, C, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(attrs.autocorr, A, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            sps_periodicity(attrs).values, oracles.sps_p(A), rtol=0, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            sps_zcr(attrs).values, oracles.sps_zcr(C), rtol=0, atol=1e-12
-        )
+        np.testing.assert_array_equal(attrs.centroids, mu)
+        np.testing.assert_array_equal(attrs.centered, C)
+        np.testing.assert_array_equal(attrs.autocorr, A)
+        np.testing.assert_array_equal(sps_periodicity(attrs).values, oracles.sps_p(A))
+        np.testing.assert_array_equal(sps_zcr(attrs).values, oracles.sps_zcr(C))
         if p >= 2:
-            np.testing.assert_allclose(
-                sps_scg(m, attrs).values,
-                oracles.sps_scg(m.data.tolist()),
-                rtol=0,
-                atol=1e-12,
+            np.testing.assert_array_equal(
+                sps_scg(m, attrs).values, oracles.sps_scg(m.data.tolist())
             )
 
     for _ in range(n_iter):
@@ -206,7 +198,7 @@ class TestC3Transform:
         for _ in range(50):
             frame = rng.standard_normal(n)
             bins = magnitude_spectra(frame[None, :], cfg)[0]
-            nyquist = abs(np.add.accumulate(frame * (-1.0) ** np.arange(n))[-1])
+            nyquist = abs(frame @ (-1.0) ** np.arange(n))
             spec_energy = bins[0] ** 2 + 2 * np.sum(bins[1:] ** 2) + nyquist**2
             time_energy = n * np.sum(frame**2)
             assert spec_energy == pytest.approx(time_energy, rel=1e-6)
@@ -301,20 +293,11 @@ def test_c6_cli_evaluation_reproducible(cli, corpus_dirs, tmp_path):
 
 
 def test_c7_throughput_telemetry():
-    before = _kernels.active_backend()
-    try:
-        _kernels.set_backend("auto")
-        intervals = make_corpus(12, seed=9)  # 24 one-second intervals
-        extract_features(intervals[0])  # warm any compilation caches
-        t0 = time.perf_counter()
-        for iv in intervals:
-            extract_features(iv)
-        per_interval_ms = 1000.0 * (time.perf_counter() - t0) / len(intervals)
-    finally:
-        _kernels.set_backend(before)
+    intervals = make_corpus(12, seed=9)  # 24 one-second intervals
+    t0 = time.perf_counter()
+    for iv in intervals:
+        extract_features(iv)
+    per_interval_ms = 1000.0 * (time.perf_counter() - t0) / len(intervals)
     status = "PASS" if per_interval_ms < 50.0 else "WARN (informational only)"
-    print(
-        f"throughput: {per_interval_ms:.1f} ms per 1 s interval on the "
-        f"{_kernels.active_backend()} backend -> {status}"
-    )
+    print(f"throughput: {per_interval_ms:.1f} ms per 1 s interval -> {status}")
     assert math.isfinite(per_interval_ms) and per_interval_ms > 0.0

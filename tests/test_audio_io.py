@@ -11,6 +11,7 @@ from spsgmm.audio_io import (
     write_wav,
 )
 from spsgmm.errors import DecodeError, InputError
+from spsgmm.pipeline import extract_corpus, extract_features
 
 from conftest import SR, wav_bytes
 
@@ -161,13 +162,27 @@ class TestScanCorpus:
         intervals, report = scan_corpus(tmp_path / "speech", tmp_path / "music", 1.0)
         speech = [iv for iv in intervals if iv.label == "speech"]
         assert [(iv.source_id, iv.index) for iv in speech] == [
-            ("a.wav", 0),
-            ("a.wav", 1),
-            ("b.wav", 0),
-            ("b.wav", 1),
+            ("speech/a.wav", 0),
+            ("speech/a.wav", 1),
+            ("speech/b.wav", 0),
+            ("speech/b.wav", 1),
         ]
         assert report.n_intervals == {"speech": 4, "music": 1}
         assert report.n_files == {"speech": 2, "music": 1}
+
+    def test_same_file_name_in_both_classes_keeps_distinct_keys(self, tmp_path):
+        rng = np.random.default_rng(7)
+        for d in ("speech", "music"):
+            (tmp_path / d).mkdir()
+            write_wav(tmp_path / d / "f0.wav", rng.uniform(-0.5, 0.5, 2 * SR), SR)
+        intervals, _ = scan_corpus(tmp_path / "speech", tmp_path / "music", 1.0)
+        cache, _ = extract_corpus(intervals, p=3)
+        assert len(intervals) == len(cache) == 4
+        for iv in intervals:
+            want, _ = extract_features(iv, p=3)
+            got = cache[(iv.source_id, iv.index)]["sps_scg"]
+            assert got.label == iv.label
+            np.testing.assert_array_equal(got.values, want["sps_scg"].values)
 
     def test_undecodable_file_skipped_and_reported(self, tmp_path):
         rng = np.random.default_rng(6)

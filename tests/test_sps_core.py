@@ -13,7 +13,12 @@ from spsgmm.sps_core import (
     select_prominent,
     sps_csv_lines,
 )
-from spsgmm.spectral import MagnitudeSpectrum
+from spsgmm.spectral import (
+    MagnitudeSpectrum,
+    frame_interval,
+    magnitude_spectra,
+    make_frame_config,
+)
 
 
 def _random_spectra(rng, L, n_bins, quantize=False):
@@ -171,6 +176,18 @@ class TestBuildPeakMatrix:
         mags = _random_spectra(rng, L, n_bins, quantize=True)
         m = build_peak_matrix(mags, p)
         rows, peakless = oracles.build_matrix([list(r) for r in mags], p)
+        np.testing.assert_array_equal(m.data, rows)
+        assert m.peakless_frames == peakless
+
+
+    def test_full_size_interval_matches_oracle(self):
+        # the 973 x 331 magnitude stack of a 1 s interval at 22050 Hz, p = 20
+        sig = np.random.default_rng(7).standard_normal(22050)
+        cfg = make_frame_config(22050, 30.0, 1.0)
+        mags = magnitude_spectra(frame_interval(sig, cfg), cfg)
+        assert mags.shape == (973, 331)
+        m = build_peak_matrix(mags, 20)
+        rows, peakless = oracles.build_matrix(mags.tolist(), 20)
         np.testing.assert_array_equal(m.data, rows)
         assert m.peakless_frames == peakless
 

@@ -61,6 +61,18 @@ class TestComputeAttributes:
         np.testing.assert_array_equal(attrs.centered[0], [1, -1, 1, -1])
         np.testing.assert_array_equal(attrs.autocorr[0], [1.0, -0.75, 0.5])
 
+    def test_non_integer_or_negative_matrix_is_error(self):
+        for S in ([[1.0, 2.0, 3.0]], [[1, -2, 3]]):
+            with pytest.raises(InputError, match="non-negative integer"):
+                compute_attributes(np.array(S))
+
+    def test_too_long_for_exact_sums_is_error(self):
+        # L**3 * 330**2 >= 2**63: int64 would wrap, so nothing is computed
+        S = np.zeros((1, 60000), np.int64)
+        S[0, ::2] = 330
+        with pytest.raises(InputError, match="too large"):
+            compute_attributes(S)
+
     def test_lag_cap_even_odd(self):
         assert lag_cap(4) == 2
         assert lag_cap(5) == 3
@@ -241,18 +253,22 @@ class TestOracleAgreement:
         rows = [[int(v) for v in row] for row in S]
         attrs = compute_attributes(S)
         mu, C, A = oracles.attributes(rows)
-        np.testing.assert_allclose(attrs.centroids, mu, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(attrs.centered, C, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(attrs.autocorr, A, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(
-            sps_periodicity(attrs).values, oracles.sps_p(A), atol=1e-12, rtol=0
-        )
-        np.testing.assert_allclose(
-            sps_zcr(attrs).values, oracles.sps_zcr(C), atol=1e-12, rtol=0
-        )
-        np.testing.assert_allclose(
-            sps_scg(S, attrs).values, oracles.sps_scg(rows), atol=1e-12, rtol=0
-        )
+        np.testing.assert_array_equal(attrs.centroids, mu)
+        np.testing.assert_array_equal(attrs.centered, C)
+        np.testing.assert_array_equal(attrs.autocorr, A)
+        np.testing.assert_array_equal(sps_periodicity(attrs).values, oracles.sps_p(A))
+        np.testing.assert_array_equal(sps_zcr(attrs).values, oracles.sps_zcr(C))
+        np.testing.assert_array_equal(sps_scg(S, attrs).values, oracles.sps_scg(rows))
+
+    def test_full_size_interval(self):
+        # p = 20 rows over the L = 973 frames of a 1 s interval at 22050 Hz
+        S = np.random.default_rng(8).integers(0, 331, (20, 973))
+        rows = S.tolist()
+        attrs = compute_attributes(S)
+        _, _, A = oracles.attributes(rows)
+        np.testing.assert_array_equal(attrs.autocorr, A)
+        np.testing.assert_array_equal(sps_periodicity(attrs).values, oracles.sps_p(A))
+        np.testing.assert_array_equal(sps_scg(S, attrs).values, oracles.sps_scg(rows))
 
 
 class TestEarlyFuse:
