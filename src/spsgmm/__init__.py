@@ -43,10 +43,8 @@ from .evaluate import (
 from .pipeline import extract_corpus, extract_features
 from .spectral import (
     FrameConfig,
-    MagnitudeSpectrum,
     frame_interval,
     magnitude_spectra,
-    magnitude_spectrum,
     make_frame_config,
 )
 from .sps_core import (

@@ -212,7 +212,7 @@ def grid_search(train, grid=DEFAULT_K_GRID, seed=0):
             skipped.append(K)
             continue
         model = fit_gmm(inner_train, K, seed)
-        pred = [score(model, f).decision for f in inner_val]
+        pred = [s.decision for s in score(model, inner_val)]
         fval = f_score(confusion_matrix([f.label for f in inner_val], pred))
         validation[K] = fval
         if fval > best_f:
@@ -231,56 +231,87 @@ def grid_search(train, grid=DEFAULT_K_GRID, seed=0):
     return model
 
 
-def _class_log_liks(model, values):
-    x = model.standardizer.apply(values[None, :])
+def _rows(model, fs):
+    """Check every vector against the model, then stack them as (n, d)."""
+    for f in fs:
+        if f.kind != model.feature_kind:
+            raise InputError(f"model expects {model.feature_kind}, got {f.kind}")
+        if f.values.size != model.dim:
+            raise InputError(f"model expects dim {model.dim}, got {f.values.size}")
+    return np.stack([f.values for f in fs])
+
+
+def _class_log_liks(model, X):
+    """{label: (n,) log-likelihoods} of the rows of X under each class."""
+    x = model.standardizer.apply(X)
     return {
-        lab: float(_logsumexp(_log_densities(x, mix) + np.log(mix.weights), axis=1)[0])
+        lab: _logsumexp(_log_densities(x, mix) + np.log(mix.weights), axis=1)
         for lab, mix in model.classes.items()
     }
 
 
+def _class_scores(speech, music, margin):
+    """ClassScores from (n,) arrays; exact ties go to speech."""
+    return [
+        ClassScore(
+            log_lik_speech=s,
+            log_lik_music=m,
+            decision="speech" if g >= 0 else "music",
+            margin=g,
+        )
+        for s, m, g in zip(speech.tolist(), music.tolist(), margin.tolist())
+    ]
+
+
+def _is_list(f):
+    return isinstance(f, (list, tuple))
+
+
 def score(model, f):
-    """Bayes decision on one feature vector."""
-    if f.kind != model.feature_kind:
-        raise InputError(f"model expects {model.feature_kind}, got {f.kind}")
-    if f.values.size != model.dim:
-        raise InputError(f"model expects dim {model.dim}, got {f.values.size}")
-    ll = _class_log_liks(model, f.values)
+    """Bayes decision on one feature vector, or on each vector of a list
+    (returning a list); the rows are stacked and scored in one pass."""
+    fs = f if _is_list(f) else [f]
+    if not fs:
+        return []
+    ll = _class_log_liks(model, _rows(model, fs))
     post = {lab: ll[lab] + model.classes[lab].log_prior for lab in LABELS}
-    margin = post["speech"] - post["music"]
-    return ClassScore(
-        log_lik_speech=ll["speech"],
-        log_lik_music=ll["music"],
-        decision="speech" if margin >= 0 else "music",
-        margin=margin,
-    )
+    scores = _class_scores(ll["speech"], ll["music"], post["speech"] - post["music"])
+    return scores if _is_list(f) else scores[0]
 
 
 def late_fuse_score(models, fs):
     """Combine per-feature models by a dimension-normalized sum of class
     scores (log-likelihood plus log prior, divided by that model's feature
-    dimension so no single feature dominates)."""
+    dimension so no single feature dominates).  fs maps each kind to one
+    vector, or each kind to a list of vectors (row i of every list from the
+    same interval), in which case a list of scores is returned."""
     expected = ("sps_p", "sps_zcr", "sps_scg")
     if sorted(models) != sorted(expected) or sorted(fs) != sorted(expected):
         raise InputError(f"late fusion needs models/features for kinds {expected}")
-    prov = {(fs[k].source_id, fs[k].interval_index) for k in fs}
-    if len(prov) != 1:
-        raise InputError(f"provenance mismatch in late fusion: {sorted(prov)}")
+    forms = {_is_list(fs[k]) for k in expected}
+    if len(forms) != 1:
+        raise InputError("late fusion needs one vector per kind or one list per kind")
+    as_list = forms.pop()
+    rows = {k: fs[k] if as_list else [fs[k]] for k in expected}
+    lengths = {len(rows[k]) for k in expected}
+    if len(lengths) != 1:
+        raise InputError(f"late fusion lists differ in length: {sorted(lengths)}")
+    n = lengths.pop()
+    for i in range(n):
+        prov = {(rows[k][i].source_id, rows[k][i].interval_index) for k in expected}
+        if len(prov) != 1:
+            raise InputError(f"provenance mismatch in late fusion: {sorted(prov)}")
+    if n == 0:
+        return []
+    X = {k: _rows(models[k], rows[k]) for k in expected}
     fused = {lab: 0.0 for lab in LABELS}
     for kind in expected:
-        model, f = models[kind], fs[kind]
-        if f.kind != model.feature_kind:
-            raise InputError(f"model/feature kind mismatch for {kind}")
-        ll = _class_log_liks(model, f.values)
+        model = models[kind]
+        ll = _class_log_liks(model, X[kind])
         for lab in LABELS:
             fused[lab] += (ll[lab] + model.classes[lab].log_prior) / model.dim
-    margin = fused["speech"] - fused["music"]
-    return ClassScore(
-        log_lik_speech=fused["speech"],
-        log_lik_music=fused["music"],
-        decision="speech" if margin >= 0 else "music",
-        margin=margin,
-    )
+    scores = _class_scores(fused["speech"], fused["music"], fused["speech"] - fused["music"])
+    return scores if as_list else scores[0]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import sys
 
 from . import audio_io, pipeline
 from ._util import atomic_write_text
-from .classifier import DEFAULT_K_GRID, LABELS, grid_search, late_fuse_score, load_model, save_model, score
+from .classifier import grid_search, load_model, save_model, score
 from .errors import ConfigError, DecodeError, InputError, SpsgmmError
 from .evaluate import (
     EVAL_KINDS,
@@ -22,7 +22,6 @@ from .evaluate import (
     summary_csv_lines,
     trials_csv_lines,
 )
-from .pipeline import BASE_KINDS
 from .spectral import WINDOWS, frame_interval, magnitude_spectra, make_frame_config, spectrogram_csv_lines
 from .sps_core import build_peak_matrix, sps_csv_lines
 from .sps_features import compute_attributes, distribution_csv_lines, feature_csv_lines
@@ -203,12 +202,14 @@ def cmd_train(args):
 def cmd_predict(args):
     model = load_model(args.model)
     intervals = _load_intervals(args.input, args.interval_ms / 1000.0)
-    lines = ["source_id,interval_index,decision,margin,log_lik_speech,log_lik_music"]
+    vectors = []
     for iv in intervals:
-        vectors, _ = pipeline.extract_features(iv, **_pipeline_kwargs(args))
-        if model.feature_kind not in vectors:
+        by_kind, _ = pipeline.extract_features(iv, **_pipeline_kwargs(args))
+        if model.feature_kind not in by_kind:
             raise InputError(f"model feature kind {model.feature_kind!r} not extractable")
-        sc = score(model, vectors[model.feature_kind])
+        vectors.append(by_kind[model.feature_kind])
+    lines = ["source_id,interval_index,decision,margin,log_lik_speech,log_lik_music"]
+    for iv, sc in zip(intervals, score(model, vectors)):
         lines.append(
             f"{iv.source_id},{iv.index},{sc.decision},{float(sc.margin)!r},"
             f"{float(sc.log_lik_speech)!r},{float(sc.log_lik_music)!r}"

@@ -135,20 +135,17 @@ def _run_trial(intervals, cache, kind, cfg, t, k_grid):
             k: grid_search(_vectors_for(cache, train_iv, k), k_grid, tseed)
             for k in BASE_KINDS
         }
-        preds = []
-        for iv in test_iv:
-            fs = {k: cache[(iv.source_id, iv.index)][k] for k in BASE_KINDS}
-            preds.append(late_fuse_score(models, fs).decision)
+        scores = late_fuse_score(
+            models, {k: _vectors_for(cache, test_iv, k) for k in BASE_KINDS}
+        )
         chosen = "-".join(str(models[k].train_meta["chosen_k"]) for k in BASE_KINDS)
         trained = models
     else:
         model = grid_search(_vectors_for(cache, train_iv, kind), k_grid, tseed)
-        preds = [
-            score(model, cache[(iv.source_id, iv.index)][kind]).decision
-            for iv in test_iv
-        ]
+        scores = score(model, _vectors_for(cache, test_iv, kind))
         chosen = str(model.train_meta["chosen_k"])
         trained = {kind: model}
+    preds = [s.decision for s in scores]
     cm = confusion_matrix(y_true, preds)
     return TrialResult(trial=t, chosen_k=chosen, f=f_score(cm), confusion=cm), trained
 

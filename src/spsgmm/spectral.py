@@ -34,12 +34,6 @@ class FrameConfig:
         return self.frame_len // 2
 
 
-@dataclass(frozen=True, eq=False)
-class MagnitudeSpectrum:
-    bins: np.ndarray  # n_f linear magnitudes, >= 0
-    frame_index: int = 0
-
-
 def make_frame_config(sample_rate, frame_ms, hop_ms, window="rect"):
     """Frame/hop lengths in samples from durations in milliseconds.  The
     frame length is rounded to the nearest sample and bumped up to the next
@@ -86,15 +80,6 @@ def magnitude_spectra(frames, cfg):
     if w is not None:
         frames = frames * w
     return np.abs(np.fft.rfft(frames, axis=1))[:, : cfg.n_f]
-
-
-def magnitude_spectrum(frame, cfg, frame_index=0):
-    """Single-frame variant of magnitude_spectra."""
-    frame = np.asarray(frame, np.float64)
-    if frame.ndim != 1 or frame.size != cfg.frame_len:
-        raise InputError(f"expected a frame of {cfg.frame_len} samples, got {frame.shape}")
-    bins = magnitude_spectra(frame[None, :], cfg)[0]
-    return MagnitudeSpectrum(bins=bins, frame_index=frame_index)
 
 
 def spectrogram_csv_lines(mags):

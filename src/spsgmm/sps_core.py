@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .spectral import MagnitudeSpectrum
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,20 +59,9 @@ def select_prominent(peaks, p):
     return np.sort(chosen)[::-1]
 
 
-def build_peak_matrix(spectra, p):
-    """Peak matrix for a whole interval.  Accepts a sequence of
-    MagnitudeSpectrum or a ready (L, n_bins) magnitude array."""
-    if isinstance(spectra, np.ndarray):
-        mags = spectra
-    else:
-        spectra = list(spectra)
-        if any(not isinstance(s, MagnitudeSpectrum) for s in spectra):
-            mags = np.asarray(spectra, np.float64)
-        else:
-            sizes = {s.bins.size for s in spectra}
-            if len(sizes) > 1:
-                raise InputError(f"inconsistent spectrum lengths: {sorted(sizes)}")
-            mags = np.stack([s.bins for s in spectra]) if spectra else np.empty((0, 0))
+def build_peak_matrix(mags, p):
+    """Peak matrix for a whole interval from its (L, n_bins) magnitudes."""
+    mags = np.ascontiguousarray(mags, np.float64)
     if mags.ndim != 2:
         raise InputError(f"expected a 2-D magnitude array, got shape {mags.shape}")
     L, n_bins = mags.shape
@@ -81,7 +69,6 @@ def build_peak_matrix(spectra, p):
         raise InputError(f"need at least 2 spectra, got {L}")
     if p < 1:
         raise InputError(f"p must be >= 1, got {p}")
-    mags = np.ascontiguousarray(mags, np.float64)
     data = np.zeros((p, L), np.int64)
     peakless = 0
     if n_bins >= 3:

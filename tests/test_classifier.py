@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from spsgmm import classifier, evaluate
 from spsgmm.classifier import (
     DEFAULT_K_GRID,
     GmmModel,
@@ -22,6 +23,7 @@ from spsgmm.classifier import (
     score,
 )
 from spsgmm.errors import FitError, InputError
+from spsgmm.evaluate import TrialConfig, run_experiment
 from spsgmm.sps_features import FeatureVector
 
 
@@ -244,6 +246,46 @@ class TestScore:
         assert toward_speech.decision == "speech" and toward_speech.margin > 0
         assert toward_music.decision == "music" and toward_music.margin < 0
 
+    def test_empty_list_returns_empty(self):
+        assert score(flat_model(), []) == []
+
+
+def fields(s):
+    return (s.margin, s.log_lik_speech, s.log_lik_music, s.decision)
+
+
+def no_scoring(monkeypatch):
+    """Make any log-density pass fail the test."""
+
+    def boom(X, mix):
+        raise AssertionError("scored before the input was checked")
+
+    monkeypatch.setattr(classifier, "_log_densities", boom)
+
+
+class TestBatchScore:
+    @pytest.mark.parametrize("K", [1, 2, 4])
+    def test_list_equals_per_row_bit_for_bit(self, K):
+        train = blobs(30 + K, 80, d=5, sep=2.0)
+        model = fit_gmm(train, K=K, seed=K)
+        test = blobs(60 + K, 40, d=5, sep=2.0)
+        batch = score(model, test)
+        assert isinstance(batch, list) and len(batch) == len(test)
+        for f, b in zip(test, batch):
+            assert fields(b) == fields(score(model, f))
+        assert {b.decision for b in batch} == {"speech", "music"}
+
+    def test_mismatch_anywhere_raises_before_scoring(self, monkeypatch):
+        model = flat_model(kind="sps_p", d=2)
+        good = fvs(np.zeros((5, 2)), "speech")
+        no_scoring(monkeypatch)
+        wrong_kind = good[:3] + fvs([[0.0, 0.0]], "music", kind="sps_zcr") + good[3:]
+        with pytest.raises(InputError, match="model expects sps_p"):
+            score(model, wrong_kind)
+        wrong_dim = good + [FeatureVector(kind="sps_p", values=np.zeros(3))]
+        with pytest.raises(InputError, match="dim"):
+            score(model, wrong_dim)
+
 
 class TestLateFusion:
     def _models_and_features(self, winner="speech"):
@@ -275,6 +317,97 @@ class TestLateFusion:
         del models["sps_p"]
         with pytest.raises(InputError, match="late fusion"):
             late_fuse_score(models, feats)
+
+    def _fitted(self, K):
+        models, test = {}, {}
+        for j, (kind, d) in enumerate((("sps_p", 3), ("sps_zcr", 4), ("sps_scg", 6))):
+            train = [
+                FeatureVector(kind=kind, values=f.values, label=f.label)
+                for f in blobs(40 + j, 80, d=d, sep=2.0)
+            ]
+            models[kind] = fit_gmm(train, K=K, seed=j)
+            test[kind] = [
+                FeatureVector(kind=kind, values=f.values, source_id="t", interval_index=i)
+                for i, f in enumerate(blobs(50 + j, 30, d=d, sep=2.0))
+            ]
+        return models, test
+
+    @pytest.mark.parametrize("K", [1, 2, 4])
+    def test_list_equals_per_row_bit_for_bit(self, K):
+        models, test = self._fitted(K)
+        batch = late_fuse_score(models, test)
+        assert len(batch) == 60
+        for i, b in enumerate(batch):
+            one = late_fuse_score(models, {k: v[i] for k, v in test.items()})
+            assert fields(b) == fields(one)
+        assert {b.decision for b in batch} == {"speech", "music"}
+
+    def test_empty_lists_return_empty(self):
+        models, _ = self._fitted(1)
+        assert late_fuse_score(models, {k: [] for k in models}) == []
+
+    def test_lists_of_different_lengths(self, monkeypatch):
+        models, test = self._fitted(1)
+        test["sps_zcr"] = test["sps_zcr"][:-1]
+        no_scoring(monkeypatch)
+        with pytest.raises(InputError, match="differ in length"):
+            late_fuse_score(models, test)
+
+    def test_one_vector_and_lists_mixed(self):
+        models, test = self._fitted(1)
+        test["sps_p"] = test["sps_p"][0]
+        with pytest.raises(InputError, match="one vector per kind or one list"):
+            late_fuse_score(models, test)
+
+    def test_provenance_checked_row_by_row(self, monkeypatch):
+        models, test = self._fitted(1)
+        f = test["sps_scg"][17]
+        test["sps_scg"][17] = FeatureVector(
+            kind=f.kind, values=f.values, source_id="t", interval_index=99
+        )
+        no_scoring(monkeypatch)
+        with pytest.raises(InputError, match="provenance"):
+            late_fuse_score(models, test)
+
+    def test_mismatch_anywhere_raises_before_scoring(self, monkeypatch):
+        models, test = self._fitted(1)
+        f = test["sps_scg"][-1]
+        test["sps_scg"][-1] = FeatureVector(
+            kind="sps_scg", values=f.values[:-1], source_id="t", interval_index=f.interval_index
+        )
+        no_scoring(monkeypatch)
+        with pytest.raises(InputError, match="dim"):
+            late_fuse_score(models, test)
+
+
+class TestScoringCalls:
+    """The trial loop scores each test set in one call, not row by row."""
+
+    def _count(self, monkeypatch, name):
+        calls = []
+        orig = getattr(evaluate, name)
+
+        def counted(*args):
+            calls.append(1)
+            return orig(*args)
+
+        monkeypatch.setattr(evaluate, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["sps_p", "late_fused"])
+    def test_one_call_per_trial(self, kind, monkeypatch, corpus_intervals, feature_cache):
+        score_calls = self._count(monkeypatch, "score")
+        fuse_calls = self._count(monkeypatch, "late_fuse_score")
+        cache, _ = feature_cache
+        rep = run_experiment(
+            corpus_intervals, kind, TrialConfig(n_trials=2, seed=1),
+            p=3, k_grid=[1], feature_cache=cache,
+        )
+        assert len(rep.trials) == 2
+        if kind == "late_fused":
+            assert (len(score_calls), len(fuse_calls)) == (0, 2)
+        else:
+            assert (len(score_calls), len(fuse_calls)) == (2, 0)
 
 
 class TestModelFormat:

@@ -4,7 +4,9 @@ artifact layout, exit codes, determinism, and stderr diagnostics."""
 import numpy as np
 import pytest
 
-from spsgmm.audio_io import write_wav
+from spsgmm.audio_io import decode_wav, segment_intervals, write_wav
+from spsgmm.classifier import load_model, score
+from spsgmm.pipeline import extract_features
 
 pytestmark = pytest.mark.slow  # every test here forks a fresh interpreter
 
@@ -134,6 +136,23 @@ class TestPredict:
         assert len(rows) == 18
         decisions = [row.split(",")[2] for row in rows]
         assert decisions.count("music") >= 16  # near-perfect on easy synthetic data
+
+    def test_csv_matches_per_row_scoring(self, cli, model_path, corpus_dirs, tmp_path):
+        out = tmp_path / "pred.csv"
+        r = cli("predict", model_path, corpus_dirs[1], "--p", 3, "--out", out)
+        assert r.returncode == 0, r.stderr
+        model = load_model(model_path)
+        lines = ["source_id,interval_index,decision,margin,log_lik_speech,log_lik_music"]
+        for path in sorted(corpus_dirs[1].iterdir()):
+            for iv in segment_intervals(decode_wav(path), 1.0, source_id=path.name):
+                vectors, _ = extract_features(iv, p=3)
+                sc = score(model, vectors[model.feature_kind])
+                lines.append(
+                    f"{iv.source_id},{iv.index},{sc.decision},{float(sc.margin)!r},"
+                    f"{float(sc.log_lik_speech)!r},{float(sc.log_lik_music)!r}"
+                )
+        assert len(lines) == 1 + 18
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_dim_mismatch_exits_2(self, cli, model_path, speech_wav, tmp_path):
         r = cli("predict", model_path, speech_wav, "--p", 4, "--out", tmp_path / "p.csv")

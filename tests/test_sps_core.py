@@ -14,7 +14,6 @@ from spsgmm.sps_core import (
     sps_csv_lines,
 )
 from spsgmm.spectral import (
-    MagnitudeSpectrum,
     frame_interval,
     magnitude_spectra,
     make_frame_config,
@@ -112,26 +111,10 @@ class TestBuildPeakMatrix:
                 m.data[:, l], select_prominent(detect_peaks(mags[l]), 5)
             )
 
-    def test_accepts_magnitude_spectrum_objects(self):
-        rng = np.random.default_rng(1)
-        mags = _random_spectra(rng, 3, 30)
-        specs = [MagnitudeSpectrum(bins=row, frame_index=i) for i, row in enumerate(mags)]
-        np.testing.assert_array_equal(
-            build_peak_matrix(specs, 4).data, build_peak_matrix(mags, 4).data
-        )
-
     def test_all_zero_spectra(self):
         m = build_peak_matrix(np.zeros((5, 16)), 3)
         np.testing.assert_array_equal(m.data, np.zeros((3, 5)))
         assert m.peakless_frames == 5
-
-    def test_inconsistent_lengths_error(self):
-        specs = [
-            MagnitudeSpectrum(bins=np.ones(8)),
-            MagnitudeSpectrum(bins=np.ones(9)),
-        ]
-        with pytest.raises(InputError, match="inconsistent"):
-            build_peak_matrix(specs, 2)
 
     def test_single_spectrum_error(self):
         with pytest.raises(InputError, match="at least 2"):
