@@ -4,7 +4,9 @@ Per class, a diagonal-covariance mixture is fit by EM on z-scored features
 (statistics from the training split only).  Means are initialized by
 farthest-point seeding from a seeded generator, every M-step floors the
 variances, and the whole fit is deterministic given the seed.  The component
-count is grid-searched on a stratified 80:20 split of the training data.
+count is grid-searched by macro-F on a stratified 80:20 split of the training
+data; that splitter and that metric are the evaluation protocol's, kept here
+so that `evaluate` builds on this module and not the other way round.
 
 Decision rule: argmax of class log-likelihood plus log prior; exact ties go
 to speech so confusion matrices are reproducible.
@@ -176,33 +178,81 @@ def fit_gmm(train, K, seed=0):
     )
 
 
-def _stratified_indices(labels, frac, rng):
-    train_idx, val_idx = [], []
-    for lab in LABELS:
-        idx = np.array([i for i, l in enumerate(labels) if l == lab])
-        n_tr = min(max(round(frac * idx.size), 1), idx.size - 1)
-        perm = rng.permutation(idx.size)
-        train_idx.extend(idx[perm[:n_tr]])
-        val_idx.extend(idx[perm[n_tr:]])
-    return sorted(train_idx), sorted(val_idx)
+def confusion_matrix(y_true, y_pred):
+    cm = np.zeros((2, 2), np.int64)
+    for t, p in zip(y_true, y_pred, strict=True):
+        cm[LABELS.index(t), LABELS.index(p)] += 1
+    return cm
+
+
+def f_score(cm):
+    """Macro F1 of a 2x2 confusion matrix (rows true, cols predicted).
+
+    A class absent from both truth and predictions scores 1; a class with no
+    true positives but some mistakes scores 0."""
+    cm = np.asarray(cm)
+    if cm.sum() == 0:
+        raise InputError("empty confusion matrix")
+    fs = []
+    for c in (0, 1):
+        tp = cm[c, c]
+        fp = cm[1 - c, c]
+        fn = cm[c, 1 - c]
+        if tp == 0 and fp == 0 and fn == 0:
+            fs.append(1.0)
+        elif tp == 0:
+            fs.append(0.0)
+        else:
+            prec = tp / (tp + fp)
+            rec = tp / (tp + fn)
+            fs.append(2 * prec * rec / (prec + rec))
+    return (fs[0] + fs[1]) / 2
+
+
+def stratified_split(intervals, frac, seed, unit="file"):
+    """Split labeled intervals into (train, test), per class.  With
+    unit='file' whole sources move together; per-class proportions land
+    within one file of frac, and both sides keep at least one group."""
+    if unit not in ("file", "interval"):
+        raise InputError("unit must be 'file' or 'interval'")
+    present = {iv.label for iv in intervals}
+    if set(LABELS) - present:
+        raise InputError(f"both classes must be present, got {sorted(present)}")
+    rng = np.random.default_rng(seed)
+    train, test = [], []
+    for label in LABELS:
+        members = [iv for iv in intervals if iv.label == label]
+        if unit == "file":
+            keys = sorted({iv.source_id for iv in members})
+            if len(keys) < 2:
+                raise InputError(
+                    f"class {label!r} has a single source file; file-level "
+                    "splitting needs >= 2 (try unit='interval')"
+                )
+        else:
+            keys = list(range(len(members)))
+        n_tr = min(max(round(frac * len(keys)), 1), len(keys) - 1)
+        perm = rng.permutation(len(keys))
+        chosen = {keys[i] for i in perm[:n_tr]}
+        if unit == "file":
+            train.extend(iv for iv in members if iv.source_id in chosen)
+            test.extend(iv for iv in members if iv.source_id not in chosen)
+        else:
+            train.extend(members[i] for i in sorted(chosen))
+            test.extend(members[i] for i in sorted(set(keys) - chosen))
+    return train, test
 
 
 def grid_search(train, grid=DEFAULT_K_GRID, seed=0):
     """Pick K from the grid by macro-F on a stratified 80:20 split of the
-    training data (ties to the smaller K), then refit on all of it.
-    Infeasible grid entries are skipped with a warning."""
-    from .evaluate import confusion_matrix, f_score  # deferred: module cycle
-
+    training data at interval granularity (ties to the smaller K), then refit
+    on all of it.  Infeasible grid entries are skipped with a warning."""
     grid = list(grid)
     if not grid:
         raise FitError("empty K grid")
-    kind, data = _collect(train)
+    _, data = _collect(train)
     d = next(iter(data.values())).shape[1]
-    rng = np.random.default_rng(seed)
-    labels = [f.label for f in train]
-    tr_idx, val_idx = _stratified_indices(labels, 0.8, rng)
-    inner_train = [train[i] for i in tr_idx]
-    inner_val = [train[i] for i in val_idx]
+    inner_train, inner_val = stratified_split(train, 0.8, seed, unit="interval")
     inner_counts = {
         lab: sum(1 for f in inner_train if f.label == lab) for lab in LABELS
     }

@@ -12,7 +12,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import LABELS, DEFAULT_K_GRID, grid_search, late_fuse_score, score
+from .classifier import (
+    DEFAULT_K_GRID,
+    LABELS,
+    confusion_matrix,
+    f_score,
+    grid_search,
+    late_fuse_score,
+    score,
+    stratified_split,
+)
 from .errors import InputError
 from .pipeline import BASE_KINDS, extract_corpus
 
@@ -53,71 +62,6 @@ class EvalReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def confusion_matrix(y_true, y_pred):
-    cm = np.zeros((2, 2), np.int64)
-    for t, p in zip(y_true, y_pred, strict=True):
-        cm[LABELS.index(t), LABELS.index(p)] += 1
-    return cm
-
-
-def f_score(cm):
-    """Macro F1 of a 2x2 confusion matrix (rows true, cols predicted).
-
-    A class absent from both truth and predictions scores 1; a class with no
-    true positives but some mistakes scores 0."""
-    cm = np.asarray(cm)
-    if cm.sum() == 0:
-        raise InputError("empty confusion matrix")
-    fs = []
-    for c in (0, 1):
-        tp = cm[c, c]
-        fp = cm[1 - c, c]
-        fn = cm[c, 1 - c]
-        if tp == 0 and fp == 0 and fn == 0:
-            fs.append(1.0)
-        elif tp == 0:
-            fs.append(0.0)
-        else:
-            prec = tp / (tp + fp)
-            rec = tp / (tp + fn)
-            fs.append(2 * prec * rec / (prec + rec))
-    return (fs[0] + fs[1]) / 2
-
-
-def stratified_split(intervals, frac, seed, unit="file"):
-    """Split labeled intervals into (train, test), per class.  With
-    unit='file' whole sources move together; per-class proportions land
-    within one file of frac, and both sides keep at least one group."""
-    if unit not in ("file", "interval"):
-        raise InputError("unit must be 'file' or 'interval'")
-    present = {iv.label for iv in intervals}
-    if set(LABELS) - present:
-        raise InputError(f"both classes must be present, got {sorted(present)}")
-    rng = np.random.default_rng(seed)
-    train, test = [], []
-    for label in LABELS:
-        members = [iv for iv in intervals if iv.label == label]
-        if unit == "file":
-            keys = sorted({iv.source_id for iv in members})
-            if len(keys) < 2:
-                raise InputError(
-                    f"class {label!r} has a single source file; file-level "
-                    "splitting needs >= 2 (try unit='interval')"
-                )
-        else:
-            keys = list(range(len(members)))
-        n_tr = min(max(round(frac * len(keys)), 1), len(keys) - 1)
-        perm = rng.permutation(len(keys))
-        chosen = {keys[i] for i in perm[:n_tr]}
-        if unit == "file":
-            train.extend(iv for iv in members if iv.source_id in chosen)
-            test.extend(iv for iv in members if iv.source_id not in chosen)
-        else:
-            train.extend(members[i] for i in sorted(chosen))
-            test.extend(members[i] for i in sorted(set(keys) - chosen))
-    return train, test
-
-
 def _trial_seed(master, t):
     return master * 1_000_003 + t
 
@@ -129,25 +73,18 @@ def _vectors_for(cache, intervals, kind):
 def _run_trial(intervals, cache, kind, cfg, t, k_grid):
     tseed = _trial_seed(cfg.seed, t)
     train_iv, test_iv = stratified_split(intervals, cfg.train_frac, tseed, cfg.split_unit)
-    y_true = [iv.label for iv in test_iv]
+    kinds = BASE_KINDS if kind == "late_fused" else (kind,)
+    models = {
+        k: grid_search(_vectors_for(cache, train_iv, k), k_grid, tseed) for k in kinds
+    }
+    test = {k: _vectors_for(cache, test_iv, k) for k in kinds}
     if kind == "late_fused":
-        models = {
-            k: grid_search(_vectors_for(cache, train_iv, k), k_grid, tseed)
-            for k in BASE_KINDS
-        }
-        scores = late_fuse_score(
-            models, {k: _vectors_for(cache, test_iv, k) for k in BASE_KINDS}
-        )
-        chosen = "-".join(str(models[k].train_meta["chosen_k"]) for k in BASE_KINDS)
-        trained = models
+        scores = late_fuse_score(models, test)
     else:
-        model = grid_search(_vectors_for(cache, train_iv, kind), k_grid, tseed)
-        scores = score(model, _vectors_for(cache, test_iv, kind))
-        chosen = str(model.train_meta["chosen_k"])
-        trained = {kind: model}
-    preds = [s.decision for s in scores]
-    cm = confusion_matrix(y_true, preds)
-    return TrialResult(trial=t, chosen_k=chosen, f=f_score(cm), confusion=cm), trained
+        scores = score(models[kind], test[kind])
+    chosen = "-".join(str(models[k].train_meta["chosen_k"]) for k in kinds)
+    cm = confusion_matrix([iv.label for iv in test_iv], [s.decision for s in scores])
+    return TrialResult(trial=t, chosen_k=chosen, f=f_score(cm), confusion=cm), models
 
 
 def run_experiment(
@@ -162,7 +99,6 @@ def run_experiment(
     k_grid=DEFAULT_K_GRID,
     feature_cache=None,
     diagnostics=None,
-    save_models_dir=None,
 ):
     """Full protocol for one feature kind: n_trials times, split / fit /
     score, then aggregate mean and population variance of the macro-F."""
@@ -177,18 +113,10 @@ def run_experiment(
         feature_cache, diagnostics = extract_corpus(
             intervals, frame_ms=frame_ms, hop_ms=hop_ms, window=window, p=p
         )
-    trials = []
-    for t in range(cfg.n_trials):
-        result, trained = _run_trial(intervals, feature_cache, feature_kind, cfg, t, k_grid)
-        trials.append(result)
-        if save_models_dir is not None:
-            from .classifier import save_model
-            import os
-
-            for k, model in trained.items():
-                save_model(
-                    model, os.path.join(save_models_dir, f"trial{t:03d}_{k}.model")
-                )
+    trials = [
+        _run_trial(intervals, feature_cache, feature_kind, cfg, t, k_grid)[0]
+        for t in range(cfg.n_trials)
+    ]
     fs = [tr.f for tr in trials]
     mean_f = sum(fs) / len(fs)
     var_f = sum((x - mean_f) ** 2 for x in fs) / len(fs)

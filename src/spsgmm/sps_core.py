@@ -30,15 +30,20 @@ class PeakSequenceMatrix:
     peakless_frames: int = 0  # diagnostic: frames that had no peak at all
 
 
+def interior_maxima(v):
+    """Mask over v[..., 1:-1]: True where a value is above both neighbours
+    along the last axis.  Endpoints never qualify, so fewer than 3 values give
+    an empty mask."""
+    mid = v[..., 1:-1]
+    return (mid > v[..., :-2]) & (mid > v[..., 2:])
+
+
 def detect_peaks(values):
     """Strict interior local maxima of a sequence.  Endpoints never qualify;
     sequences shorter than 3 return an empty set (documented degenerate
     case, not an error)."""
     v = np.asarray(values, np.float64)
-    if v.size < 3:
-        return PeakSet(bins=np.empty(0, np.int64), amplitudes=np.empty(0))
-    mid = v[1:-1]
-    ks = np.nonzero((mid > v[:-2]) & (mid > v[2:]))[0] + 1
+    ks = np.nonzero(interior_maxima(v))[0] + 1
     return PeakSet(bins=ks.astype(np.int64), amplitudes=v[ks])
 
 
@@ -71,11 +76,7 @@ def build_peak_matrix(mags, p):
         raise InputError(f"p must be >= 1, got {p}")
     data = np.zeros((p, L), np.int64)
     peakless = 0
-    if n_bins >= 3:
-        inner = mags[:, 1:-1]
-        is_peak = (inner > mags[:, :-2]) & (inner > mags[:, 2:])
-    else:
-        is_peak = np.zeros((L, 0), np.bool_)
+    is_peak = interior_maxima(mags)
     for l in range(L):
         ks = np.nonzero(is_peak[l])[0] + 1
         if ks.size == 0:

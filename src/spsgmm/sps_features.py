@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .sps_core import PeakSequenceMatrix
+from .sps_core import PeakSequenceMatrix, interior_maxima
 
 KINDS = ("sps_p", "sps_zcr", "sps_scg", "early_fused")
 
@@ -51,7 +51,7 @@ class FeatureVector:
 
 
 def lag_cap(L):
-    return L // 2 if L % 2 == 0 else (L + 1) // 2
+    return (L + 1) // 2
 
 
 def _matrix_data(m):
@@ -109,8 +109,7 @@ def _provenance(kw):
 def _gap_variance(a):
     """Population variance of the gaps between interior maxima of one
     autocorrelation row; fewer than two gaps count as perfectly periodic."""
-    mid = a[1:-1]
-    lags = np.nonzero((mid > a[:-2]) & (mid > a[2:]))[0] + 1
+    lags = np.nonzero(interior_maxima(a))[0] + 1
     if lags.size < 3:
         return 0.0
     gaps = np.diff(lags)

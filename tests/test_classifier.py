@@ -223,6 +223,17 @@ class TestGridSearch:
         with pytest.raises(FitError, match="empty K grid"):
             grid_search(blobs(14, 10), grid=[], seed=0)
 
+    @pytest.mark.parametrize("K", [1, 2, 4])
+    def test_validation_uses_the_protocol_split_and_metric(self, K):
+        pooled = blobs(43, 50, d=2, sep=1.5)
+        train = [f for pair in zip(pooled[:50], pooled[50:]) for f in pair]
+        inner_train, inner_val = evaluate.stratified_split(train, 0.8, 3, "interval")
+        pred = [s.decision for s in score(fit_gmm(inner_train, K, 3), inner_val)]
+        want = evaluate.f_score(
+            evaluate.confusion_matrix([f.label for f in inner_val], pred)
+        )
+        assert grid_search(train, [K], 3).train_meta["validation_f"][K] == want
+
 
 class TestScore:
     def test_exact_tie_goes_to_speech(self):
@@ -381,7 +392,9 @@ class TestLateFusion:
 
 
 class TestScoringCalls:
-    """The trial loop scores each test set in one call, not row by row."""
+    """The trial loop splits once and scores each test set in one call, not
+    row by row; grid search does not reach the protocol's split through
+    `evaluate`."""
 
     def _count(self, monkeypatch, name):
         calls = []
@@ -396,6 +409,7 @@ class TestScoringCalls:
 
     @pytest.mark.parametrize("kind", ["sps_p", "late_fused"])
     def test_one_call_per_trial(self, kind, monkeypatch, corpus_intervals, feature_cache):
+        split_calls = self._count(monkeypatch, "stratified_split")
         score_calls = self._count(monkeypatch, "score")
         fuse_calls = self._count(monkeypatch, "late_fuse_score")
         cache, _ = feature_cache
@@ -403,7 +417,7 @@ class TestScoringCalls:
             corpus_intervals, kind, TrialConfig(n_trials=2, seed=1),
             p=3, k_grid=[1], feature_cache=cache,
         )
-        assert len(rep.trials) == 2
+        assert len(rep.trials) == len(split_calls) == 2
         if kind == "late_fused":
             assert (len(score_calls), len(fuse_calls)) == (0, 2)
         else:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spsgmm.audio_io import AudioInterval
+from spsgmm.classifier import model_to_text
 from spsgmm.errors import InputError
 from spsgmm.evaluate import (
     TrialConfig,
@@ -20,6 +21,7 @@ from spsgmm.evaluate import (
     summary_csv_lines,
     trials_csv_lines,
 )
+from spsgmm.pipeline import BASE_KINDS
 from spsgmm.sps_features import FeatureVector
 
 K1 = (1,)
@@ -202,16 +204,10 @@ class TestRunExperiment:
         assert 0.0 <= rep.trials[0].f <= 1.0
 
     def test_test_features_cannot_influence_training(
-        self, corpus_intervals, feature_cache, tmp_path
+        self, corpus_intervals, feature_cache
     ):
         cache, _ = feature_cache
         cfg = TrialConfig(n_trials=1, seed=3)
-        d1, d2 = tmp_path / "a", tmp_path / "b"
-        d1.mkdir(), d2.mkdir()
-        run_experiment(
-            corpus_intervals, "sps_scg", cfg, p=3, k_grid=K1,
-            feature_cache=cache, save_models_dir=str(d1),
-        )
         _, test_iv = stratified_split(
             corpus_intervals, cfg.train_frac, _trial_seed(cfg.seed, 0), cfg.split_unit
         )
@@ -222,14 +218,12 @@ class TestRunExperiment:
                 kind: dataclasses.replace(f, values=f.values + 100.0)
                 for kind, f in cache[key].items()
             }
-        run_experiment(
-            corpus_intervals, "sps_scg", cfg, p=3, k_grid=K1,
-            feature_cache=poisoned, save_models_dir=str(d2),
-        )
-        files = sorted(p.name for p in d1.iterdir())
-        assert files == sorted(p.name for p in d2.iterdir()) and files
-        for name in files:
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+        for kind, trained in (("sps_scg", ["sps_scg"]), ("late_fused", list(BASE_KINDS))):
+            _, clean = _run_trial(corpus_intervals, cache, kind, cfg, 0, K1)
+            _, dirty = _run_trial(corpus_intervals, poisoned, kind, cfg, 0, K1)
+            assert list(clean) == list(dirty) == trained
+            for k in trained:
+                assert model_to_text(clean[k]) == model_to_text(dirty[k])
 
     def test_unknown_kind(self, corpus_intervals):
         with pytest.raises(InputError, match="feature_kind"):

@@ -1,0 +1,69 @@
+"""The package's modules form layers: no chain of relative imports, counting
+those deferred into function bodies, leads from a module back to itself."""
+
+import ast
+import pathlib
+
+import spsgmm
+
+PKG = pathlib.Path(spsgmm.__file__).parent
+
+
+def import_graph():
+    """{module: set of package modules it imports}, from every relative
+    import anywhere in each module's source."""
+    modules = {path.stem: path for path in PKG.glob("*.py")}
+    graph = {}
+    for name, path in modules.items():
+        deps = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                if node.module:
+                    deps.add(node.module.split(".")[0])
+                else:  # from . import a, b
+                    deps.update(a.name for a in node.names if a.name in modules)
+        graph[name] = deps & modules.keys()
+    return graph
+
+
+def find_cycle(graph):
+    """One import cycle as a list of modules (first == last), or None."""
+    done, path = set(), []
+
+    def visit(node):
+        if node in path:
+            return path[path.index(node):] + [node]
+        if node in done:
+            return None
+        path.append(node)
+        for dep in sorted(graph[node]):
+            cycle = visit(dep)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(node)
+        return None
+
+    for node in sorted(graph):
+        cycle = visit(node)
+        if cycle:
+            return cycle
+    return None
+
+
+def test_graph_sees_the_package():
+    graph = import_graph()
+    assert {"classifier", "evaluate", "pipeline", "cli"} <= graph.keys()
+    assert "classifier" in graph["evaluate"]
+    assert {"audio_io", "pipeline"} <= graph["cli"]  # from . import a, b
+
+
+def test_find_cycle_finds_a_planted_cycle():
+    graph = {"a": {"b"}, "b": {"c"}, "c": {"a"}, "d": {"a"}}
+    assert find_cycle(graph) == ["a", "b", "c", "a"]
+    assert find_cycle({"a": {"b"}, "b": set()}) is None
+
+
+def test_no_import_cycle():
+    cycle = find_cycle(import_graph())
+    assert cycle is None, "import cycle: " + " -> ".join(cycle)

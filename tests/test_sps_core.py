@@ -116,6 +116,13 @@ class TestBuildPeakMatrix:
         np.testing.assert_array_equal(m.data, np.zeros((3, 5)))
         assert m.peakless_frames == 5
 
+    @pytest.mark.parametrize("n_bins", [0, 1, 2])
+    def test_too_few_bins_for_an_interior_peak(self, n_bins):
+        mags = np.random.default_rng(n_bins).random((4, n_bins)) + 1.0
+        m = build_peak_matrix(mags, 3)
+        np.testing.assert_array_equal(m.data, np.zeros((3, 4)))
+        assert (m.peakless_frames, m.n_f) == (4, n_bins)
+
     def test_single_spectrum_error(self):
         with pytest.raises(InputError, match="at least 2"):
             build_peak_matrix(np.zeros((1, 16)), 2)
