@@ -47,13 +47,7 @@ from .spectral import (
     magnitude_spectra,
     make_frame_config,
 )
-from .sps_core import (
-    PeakSequenceMatrix,
-    PeakSet,
-    build_peak_matrix,
-    detect_peaks,
-    select_prominent,
-)
+from .sps_core import PeakSequenceMatrix, build_peak_matrix
 from .sps_features import (
     FeatureVector,
     SpsAttributes,

@@ -41,7 +41,7 @@ class TrialConfig:
         if self.n_trials < 1:
             raise InputError(f"n_trials must be >= 1, got {self.n_trials}")
         if self.split_unit not in ("file", "interval"):
-            raise InputError(f"split_unit must be 'file' or 'interval'")
+            raise InputError(f"split_unit must be 'file' or 'interval', got {self.split_unit!r}")
 
 
 @dataclass(frozen=True)

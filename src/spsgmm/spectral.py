@@ -79,7 +79,8 @@ def magnitude_spectra(frames, cfg):
     w = _window_vector(cfg)
     if w is not None:
         frames = frames * w
-    return np.abs(np.fft.rfft(frames, axis=1))[:, : cfg.n_f]
+    # slicing first makes the modulus a contiguous array of only the kept bins
+    return np.abs(np.fft.rfft(frames, axis=1)[:, : cfg.n_f])
 
 
 def spectrogram_csv_lines(mags):

@@ -16,12 +16,6 @@ from .errors import InputError
 
 
 @dataclass(frozen=True, eq=False)
-class PeakSet:
-    bins: np.ndarray  # ascending int64 bin indices
-    amplitudes: np.ndarray  # matching magnitudes
-
-
-@dataclass(frozen=True, eq=False)
 class PeakSequenceMatrix:
     data: np.ndarray  # (p, L) int64 bin indices, columns non-increasing
     p: int
@@ -38,34 +32,13 @@ def interior_maxima(v):
     return (mid > v[..., :-2]) & (mid > v[..., 2:])
 
 
-def detect_peaks(values):
-    """Strict interior local maxima of a sequence.  Endpoints never qualify;
-    sequences shorter than 3 return an empty set (documented degenerate
-    case, not an error)."""
-    v = np.asarray(values, np.float64)
-    ks = np.nonzero(interior_maxima(v))[0] + 1
-    return PeakSet(bins=ks.astype(np.int64), amplitudes=v[ks])
-
-
-def select_prominent(peaks, p):
-    """Length-p column of bin indices: the top-p peaks by amplitude (ties
-    prefer the lower bin), padded by repeating the weakest selected peak's
-    bin, sorted descending.  A peakless frame yields the all-zeros column."""
-    if p < 1:
-        raise InputError(f"p must be >= 1, got {p}")
-    n = peaks.bins.size
-    if n == 0:
-        return np.zeros(p, np.int64)
-    order = np.argsort(-peaks.amplitudes, kind="stable")
-    q = min(n, p)
-    chosen = peaks.bins[order[:q]]
-    if q < p:
-        chosen = np.concatenate([chosen, np.full(p - q, chosen[q - 1])])
-    return np.sort(chosen)[::-1]
-
-
 def build_peak_matrix(mags, p):
-    """Peak matrix for a whole interval from its (L, n_bins) magnitudes."""
+    """Peak matrix for a whole interval from its (L, n_bins) magnitudes.
+
+    All frames are ranked at once: each frame's peaks are packed, in bin
+    order, into one row of an (L, most peaks in a frame) array, and one
+    stable argsort per row puts the strongest first and, among equal
+    amplitudes, the lower bin first."""
     mags = np.ascontiguousarray(mags, np.float64)
     if mags.ndim != 2:
         raise InputError(f"expected a 2-D magnitude array, got shape {mags.shape}")
@@ -74,20 +47,24 @@ def build_peak_matrix(mags, p):
         raise InputError(f"need at least 2 spectra, got {L}")
     if p < 1:
         raise InputError(f"p must be >= 1, got {p}")
-    data = np.zeros((p, L), np.int64)
-    peakless = 0
     is_peak = interior_maxima(mags)
-    for l in range(L):
-        ks = np.nonzero(is_peak[l])[0] + 1
-        if ks.size == 0:
-            peakless += 1
-            continue
-        order = np.argsort(-mags[l, ks], kind="stable")
-        q = min(ks.size, p)
-        chosen = ks[order[:q]]
-        if q < p:
-            chosen = np.concatenate([chosen, np.full(p - q, chosen[q - 1])])
-        data[:, l] = np.sort(chosen)[::-1]
+    # one flat nonzero and a divmod are faster than the 2-D nonzero
+    rows, ks = np.divmod(np.flatnonzero(is_peak), is_peak.shape[1])
+    ks += 1  # mask column -> bin
+    counts = np.bincount(rows, minlength=L)
+    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]  # index within its frame
+    width = max(int(counts.max()), 1)
+    # a peak exceeds a neighbour, so its negated amplitude is below inf: pads sort last
+    neg = np.full((L, width), np.inf)
+    neg[rows, slot] = -mags[rows, ks]
+    bins = np.zeros((L, width), np.int64)  # pads read 0, a peakless frame's bin
+    bins[rows, slot] = ks
+    order = np.argsort(neg, axis=1, kind="stable")[:, :p]
+    # slots past a frame's peak count repeat its weakest chosen peak
+    take = np.minimum(np.arange(p), np.clip(counts, 1, p)[:, None] - 1)
+    chosen = np.take_along_axis(bins, np.take_along_axis(order, take, axis=1), axis=1)
+    data = np.ascontiguousarray(np.sort(chosen, axis=1)[:, ::-1].T)
+    peakless = int(np.count_nonzero(counts == 0))
     return PeakSequenceMatrix(data=data, p=p, L=L, n_f=n_bins, peakless_frames=peakless)
 
 

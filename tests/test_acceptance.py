@@ -28,7 +28,7 @@ from spsgmm.spectral import (
     magnitude_spectra,
     make_frame_config,
 )
-from spsgmm.sps_core import build_peak_matrix, detect_peaks, select_prominent
+from spsgmm.sps_core import build_peak_matrix
 from spsgmm.sps_features import (
     compute_attributes,
     sps_periodicity,
@@ -66,13 +66,13 @@ def test_c1_formula_reference_sweep():
 
         for frame in mags:
             ks = oracles.detect_peaks(frame)
-            got = detect_peaks(frame)
-            assert got.bins.tolist() == ks
-            assert got.amplitudes.tolist() == [float(frame[k]) for k in ks]
             amps = [float(frame[k]) for k in ks]
-            assert select_prominent(got, p).tolist() == oracles.select_prominent(
-                ks, amps, p
-            )
+            pair = np.stack([frame, frame])
+            # with p = n_bins every peak is chosen, so the column's values are the peaks
+            every = build_peak_matrix(pair, n_bins).data[:, 0]
+            assert sorted(set(every.tolist())) == (ks or [0])
+            got = build_peak_matrix(pair, p).data
+            assert got.T.tolist() == [oracles.select_prominent(ks, amps, p)] * 2
 
         m = build_peak_matrix(mags, p)
         ref_rows, ref_peakless = oracles.build_matrix([f.tolist() for f in mags], p)

@@ -140,6 +140,10 @@ class TestTrialConfig:
         with pytest.raises(InputError, match=match):
             TrialConfig(**kwargs)
 
+    def test_rejected_split_unit_is_named(self):
+        with pytest.raises(InputError, match="got 'minute'"):
+            TrialConfig(split_unit="minute")
+
 
 class TestRunExperiment:
     def test_aggregates_and_config(self, corpus_intervals, feature_cache):

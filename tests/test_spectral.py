@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 import oracles
 from spsgmm.errors import ConfigError, InputError
 from spsgmm.spectral import (
+    WINDOWS,
     FrameConfig,
     frame_interval,
     magnitude_spectra,
@@ -144,6 +145,16 @@ class TestMagnitudeSpectrum:
         batch = magnitude_spectra(frames, cfg)
         for l in range(7):
             np.testing.assert_array_equal(batch[l], one_frame(frames[l], cfg))
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("frame_len", [16, 480, 662])
+    def test_contiguous_and_equal_to_abs_then_slice(self, frame_len, window):
+        cfg = FrameConfig(frame_len=frame_len, hop=1, window=window)
+        frames = np.random.default_rng(frame_len).standard_normal((9, frame_len))
+        got = magnitude_spectra(frames, cfg)
+        assert got.flags.c_contiguous and got.shape == (9, cfg.n_f)
+        windowed = frames * np.hamming(frame_len) if window == "hamming" else frames
+        np.testing.assert_array_equal(got, np.abs(np.fft.rfft(windowed, axis=1))[:, : cfg.n_f])
 
     def test_non_finite_sample_is_error(self):
         cfg = FrameConfig(frame_len=16, hop=1)

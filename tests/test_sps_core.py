@@ -6,13 +6,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from spsgmm.errors import InputError
-from spsgmm.sps_core import (
-    PeakSet,
-    build_peak_matrix,
-    detect_peaks,
-    select_prominent,
-    sps_csv_lines,
-)
+from spsgmm.sps_core import build_peak_matrix, sps_csv_lines
 from spsgmm.spectral import (
     frame_interval,
     magnitude_spectra,
@@ -27,77 +21,108 @@ def _random_spectra(rng, L, n_bins, quantize=False):
     return mags
 
 
+def _column(values, p):
+    """build_peak_matrix's column for one spectrum, from a two-row stack of
+    it; both columns must agree."""
+    m = build_peak_matrix(np.array([values, values], np.float64), p)
+    np.testing.assert_array_equal(m.data[:, 0], m.data[:, 1])
+    return m.data[:, 0]
+
+
+def _peak_bins(values):
+    """The peaks build_peak_matrix finds in one spectrum.  With p at least the
+    peak count every peak is chosen, so the column's distinct values are the
+    peaks; a peakless spectrum gives the all-zeros column."""
+    column = _column(values, max(len(values), 1))
+    return [] if not column.any() else sorted(set(column.tolist()))
+
+
 class TestDetectPeaks:
+    """The strict-maximum rule, read from build_peak_matrix columns."""
+
     def test_reference_example(self):
-        ps = detect_peaks([1, 3, 2, 5, 1])
-        np.testing.assert_array_equal(ps.bins, [1, 3])
-        np.testing.assert_array_equal(ps.amplitudes, [3, 5])
+        assert _peak_bins([1, 3, 2, 5, 1]) == [1, 3]
+        # the amplitudes are read at those bins: 5 at bin 3 beats 3 at bin 1
+        np.testing.assert_array_equal(_column([1, 3, 2, 5, 1], 1), [3])
 
     def test_monotone_has_no_peaks(self):
-        assert detect_peaks([1, 2, 3, 4]).bins.size == 0
+        assert _peak_bins([1, 2, 3, 4]) == []
 
     def test_plateau_is_not_a_peak(self):
-        assert detect_peaks([1, 2, 2, 1]).bins.size == 0
+        assert _peak_bins([1, 2, 2, 1]) == []
 
     def test_endpoints_never_qualify(self):
-        assert detect_peaks([5, 1, 1]).bins.size == 0
-        assert detect_peaks([1, 1, 5]).bins.size == 0
+        assert _peak_bins([5, 1, 1]) == []
+        assert _peak_bins([1, 1, 5]) == []
 
     def test_short_input_degenerates_to_empty(self):
-        assert detect_peaks([1, 2]).bins.size == 0
-        assert detect_peaks([]).bins.size == 0
+        assert _peak_bins([1, 2]) == []
+        assert _peak_bins([]) == []
 
     @given(seed=st.integers(0, 5000))
     def test_matches_oracle(self, seed):
         rng = np.random.default_rng(seed)
         vals = _random_spectra(rng, 1, int(rng.integers(3, 64)), quantize=bool(seed % 2))[0]
-        ps = detect_peaks(vals)
-        assert list(ps.bins) == oracles.detect_peaks(vals)
+        assert _peak_bins(vals) == oracles.detect_peaks(vals)
 
 
 class TestSelectProminent:
+    """The top-p, tie and padding rules, read from build_peak_matrix columns."""
+
     def test_top2_by_amplitude_descending_bins(self):
-        ps = PeakSet(bins=np.array([1, 3, 6]), amplitudes=np.array([3.0, 5.0, 4.0]))
-        np.testing.assert_array_equal(select_prominent(ps, 2), [6, 3])
+        # peaks at bins 1, 3, 6 with amplitudes 3, 5, 4
+        np.testing.assert_array_equal(_column([0, 3, 0, 5, 0, 0, 4, 0], 2), [6, 3])
 
     def test_padding_repeats_weakest_selected(self):
-        ps = PeakSet(bins=np.array([2]), amplitudes=np.array([5.0]))
-        np.testing.assert_array_equal(select_prominent(ps, 3), [2, 2, 2])
+        np.testing.assert_array_equal(_column([0, 0, 5, 0], 3), [2, 2, 2])
+        # two peaks, p = 4: the pad is bin 3 (amplitude 3), not bin 1 (amplitude 5)
+        np.testing.assert_array_equal(_column([0, 5, 0, 3, 0], 4), [3, 3, 3, 1])
 
     def test_amplitude_tie_prefers_lower_bin(self):
-        ps = PeakSet(bins=np.array([4, 9]), amplitudes=np.array([7.0, 7.0]))
-        np.testing.assert_array_equal(select_prominent(ps, 1), [4])
+        vals = np.zeros(11)
+        vals[[4, 9]] = 7.0
+        np.testing.assert_array_equal(_column(vals, 1), [4])
 
     def test_peakless_frame_yields_zero_column(self):
-        ps = PeakSet(bins=np.empty(0, np.int64), amplitudes=np.empty(0))
-        np.testing.assert_array_equal(select_prominent(ps, 4), [0, 0, 0, 0])
+        np.testing.assert_array_equal(_column(np.zeros(8), 4), [0, 0, 0, 0])
 
     def test_invalid_p(self):
-        ps = PeakSet(bins=np.array([2]), amplitudes=np.array([5.0]))
-        with pytest.raises(InputError):
-            select_prominent(ps, 0)
+        with pytest.raises(InputError, match="p must be"):
+            build_peak_matrix(np.array([[0, 0, 5, 0], [0, 0, 5, 0]], np.float64), 0)
 
     @given(seed=st.integers(0, 5000))
     def test_matches_literal_oracle(self, seed):
         rng = np.random.default_rng(seed)
         vals = _random_spectra(rng, 1, int(rng.integers(3, 64)), quantize=True)[0]
         p = int(rng.integers(1, 9))
-        ps = detect_peaks(vals)
-        want = oracles.select_prominent(
-            list(ps.bins), [float(a) for a in ps.amplitudes], p
-        )
-        np.testing.assert_array_equal(select_prominent(ps, p), want)
+        ks = oracles.detect_peaks(vals)
+        want = oracles.select_prominent(ks, [float(vals[k]) for k in ks], p)
+        np.testing.assert_array_equal(_column(vals, p), want)
 
     @given(seed=st.integers(0, 2000))
     def test_matches_subset_bruteforce(self, seed):
         rng = np.random.default_rng(seed)
         vals = _random_spectra(rng, 1, int(rng.integers(3, 32)), quantize=True)[0]
         p = int(rng.integers(1, 5))
-        ps = detect_peaks(vals)
-        want = oracles.select_prominent_bruteforce(
-            list(ps.bins), [float(a) for a in ps.amplitudes], p
-        )
-        np.testing.assert_array_equal(select_prominent(ps, p), want)
+        ks = oracles.detect_peaks(vals)
+        want = oracles.select_prominent_bruteforce(ks, [float(vals[k]) for k in ks], p)
+        np.testing.assert_array_equal(_column(vals, p), want)
+
+
+def _planted_row(rng, n_bins, k):
+    """A quantized row with exactly min(k, (n_bins - 1) // 2) peaks, all on
+    odd bins between zeros."""
+    row = np.zeros(n_bins)
+    odd = np.arange(1, n_bins - 1, 2)
+    k = min(k, odd.size)
+    row[rng.choice(odd, k, replace=False)] = rng.integers(1, 5, k) / 4
+    return row
+
+
+def _assert_layout(m, p, L):
+    assert m.data.dtype == np.int64 and m.data.shape == (p, L)
+    assert m.data.flags.c_contiguous
+    assert type(m.peakless_frames) is int
 
 
 class TestBuildPeakMatrix:
@@ -107,9 +132,31 @@ class TestBuildPeakMatrix:
         m = build_peak_matrix(mags, 5)
         assert (m.p, m.L, m.n_f) == (5, 2, 40)
         for l in range(2):
-            np.testing.assert_array_equal(
-                m.data[:, l], select_prominent(detect_peaks(mags[l]), 5)
-            )
+            ks = oracles.detect_peaks(mags[l])
+            want = oracles.select_prominent(ks, [float(mags[l, k]) for k in ks], 5)
+            np.testing.assert_array_equal(m.data[:, l], want)
+
+    @given(
+        L=st.integers(2, 12),
+        n_bins=st.integers(0, 48),
+        p=st.integers(1, 25),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.lists(st.sampled_from(["none", "p-1", "p"]), max_size=4),
+        offset=st.sampled_from([0.0, -3.0]),
+    )
+    def test_matches_oracle_with_ties_and_planted_rows(self, L, n_bins, p, seed, planted, offset):
+        # the offset makes every amplitude negative in some cases, below any pad value
+        rng = np.random.default_rng(seed)
+        mags = _random_spectra(rng, L, n_bins, quantize=True)
+        n_peaks = {"none": 0, "p-1": p - 1, "p": p}
+        for l, kind in zip(rng.permutation(L), planted):
+            mags[l] = _planted_row(rng, n_bins, n_peaks[kind])
+        mags += offset
+        m = build_peak_matrix(mags, p)
+        _assert_layout(m, p, L)
+        rows, peakless = oracles.build_matrix(mags.tolist(), p)
+        np.testing.assert_array_equal(m.data, rows)
+        assert m.peakless_frames == peakless
 
     def test_all_zero_spectra(self):
         m = build_peak_matrix(np.zeros((5, 16)), 3)
@@ -135,7 +182,7 @@ class TestBuildPeakMatrix:
         m = build_peak_matrix(mags, p)
         assert np.all(m.data[:-1] >= m.data[1:])
         for l in range(L):
-            peaks = set(detect_peaks(mags[l]).bins)
+            peaks = set(oracles.detect_peaks(mags[l]))
             column = set(m.data[:, l].tolist())
             if peaks:
                 assert column <= peaks
@@ -172,12 +219,25 @@ class TestBuildPeakMatrix:
 
     def test_full_size_interval_matches_oracle(self):
         # the 973 x 331 magnitude stack of a 1 s interval at 22050 Hz, p = 20
-        sig = np.random.default_rng(7).standard_normal(22050)
-        cfg = make_frame_config(22050, 30.0, 1.0)
+        self._check_full_size(22050, 20, (973, 331))
+
+    @pytest.mark.parametrize(
+        "rate,p,shape",
+        [(16000, 20, (971, 240)), (22050, 10, (973, 331))],
+        ids=["16000-p20", "22050-p10"],
+    )
+    def test_full_size_interval_matches_oracle_at(self, rate, p, shape):
+        self._check_full_size(rate, p, shape)
+
+    @staticmethod
+    def _check_full_size(rate, p, shape):
+        sig = np.random.default_rng(7).standard_normal(rate)
+        cfg = make_frame_config(rate, 30.0, 1.0)
         mags = magnitude_spectra(frame_interval(sig, cfg), cfg)
-        assert mags.shape == (973, 331)
-        m = build_peak_matrix(mags, 20)
-        rows, peakless = oracles.build_matrix(mags.tolist(), 20)
+        assert mags.shape == shape
+        m = build_peak_matrix(mags, p)
+        _assert_layout(m, p, shape[0])
+        rows, peakless = oracles.build_matrix(mags.tolist(), p)
         np.testing.assert_array_equal(m.data, rows)
         assert m.peakless_frames == peakless
 
