@@ -24,6 +24,8 @@ LABELS = ("speech", "music")
 DEFAULT_K_GRID = (1, 2, 4, 8, 16, 32)
 
 _LOG2PI = math.log(2.0 * math.pi)
+# Elements in one (n, components, d) EM or scoring temporary: 8 MB of float64.
+BUDGET = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,18 +66,28 @@ class ClassScore:
 
 
 def _logsumexp(a, axis=-1):
-    m = np.max(a, axis=axis, keepdims=True)
+    m = a.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
 
 
+def _groups(K, n, d):
+    """Slices of the K components, each small enough that an (n, g, d)
+    temporary holds at most BUDGET elements, or one component when a single
+    one is already larger.  Per-component arithmetic is the same in any
+    group, so the slicing changes memory, never results."""
+    g = max(1, BUDGET // max(n * d, 1))
+    return [slice(k, k + g) for k in range(0, K, g)]
+
+
 def _log_densities(X, mix):
-    """(n, K) log N(x | m_k, diag v_k)."""
-    lv = np.log(mix.vars)
-    out = np.empty((X.shape[0], mix.weights.size))
-    for k in range(mix.weights.size):
-        z = (X - mix.means[k]) ** 2 / mix.vars[k]
-        out[:, k] = -0.5 * (z.sum(axis=1) + lv[k].sum() + X.shape[1] * _LOG2PI)
+    """(n, K) log N(x | m_k, diag v_k), a group of components per pass."""
+    n, d = X.shape
+    lv = np.log(mix.vars).sum(axis=1)
+    out = np.empty((n, mix.weights.size))
+    for g in _groups(mix.weights.size, n, d):
+        z = ((X[:, None, :] - mix.means[g]) ** 2 / mix.vars[g]).sum(axis=2)
+        out[:, g] = -0.5 * (z + lv[g] + d * _LOG2PI)
     return out
 
 
@@ -109,20 +121,25 @@ def _fit_mixture(X, K, rng, log_prior, max_iter=200, tol=1e-6):
         vars=np.maximum(np.tile(X.var(axis=0), (K, 1)), floor),
         log_prior=log_prior,
     )
+    groups = _groups(K, n, d)
     trace = []
     for _ in range(max_iter):
         resp, ll = _estep(X, mix)
         trace.append(ll)
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
             break
-        for k in range(K):
-            r = resp[:, k]
-            nk = r.sum() + 1e-300
-            mean = (r[:, None] * X).sum(axis=0) / nk
-            var = (r[:, None] * (X - mean) ** 2).sum(axis=0) / nk
-            mix.weights[k] = nk / n
-            mix.means[k] = mean
-            mix.vars[k] = np.maximum(var, floor)
+        # nk adds each component's responsibilities pairwise along a
+        # contiguous row; resp.sum(axis=0) would add down the columns in
+        # sequence and change the last bits of every model.
+        R = np.ascontiguousarray(resp.T)
+        nk = R.sum(axis=1) + 1e-300
+        for g in groups:
+            r = R[g, :, None]
+            mean = (r * X).sum(axis=1) / nk[g, None]
+            var = (r * (X - mean[:, None, :]) ** 2).sum(axis=1) / nk[g, None]
+            mix.means[g] = mean
+            mix.vars[g] = np.maximum(var, floor)
+        mix.weights = nk / n
         mix.weights /= mix.weights.sum()
     return mix, trace
 

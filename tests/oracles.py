@@ -4,7 +4,9 @@ Everything in this file is a deliberately naive, literal transcription of the
 defining formulas, written with plain Python numbers and loops.  Nothing here
 imports from spsgmm and nothing uses numpy, so agreement between these
 references and the fast implementations is meaningful evidence rather than a
-tautology.
+tautology.  The one exception is the last section: the per-component mixture
+loops are numpy on purpose, because there the reference is a summation order,
+not a formula.
 
 The row statistics are exact: lagged sums, variances and centroids are formed
 from Python integers and ``Fraction``, and rounded to float once at the end.
@@ -17,6 +19,9 @@ import cmath
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -197,3 +202,79 @@ def macro_f(cm):
             rec = tp / (tp + fn)
             fs.append(2 * prec * rec / (prec + rec))
     return sum(fs) / len(fs)
+
+
+# ---------------------------------------------------------------------------
+# diagonal mixture EM, one component at a time
+#
+# A literal transcription of the classifier's EM and log density as they were
+# written before they handled a group of components per numpy call.  The
+# vectorized code promises every bit of every model, margin and EM trace, so
+# these keep numpy's summation order: pairwise along a contiguous row,
+# in sequence down a column.  A mixture is anything with .weights, .means,
+# .vars and .log_prior; fit_mixture_loop returns a SimpleNamespace.
+
+_LOG2PI = math.log(2.0 * math.pi)
+
+
+def log_densities_loop(X, mix):
+    """(n, K) log N(x | m_k, diag v_k), one component per pass."""
+    lv = np.log(mix.vars)
+    out = np.empty((X.shape[0], mix.weights.size))
+    for k in range(mix.weights.size):
+        z = (X - mix.means[k]) ** 2 / mix.vars[k]
+        out[:, k] = -0.5 * (z.sum(axis=1) + lv[k].sum() + X.shape[1] * _LOG2PI)
+    return out
+
+
+def _logsumexp(a, axis=-1):
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+
+
+def _estep(X, mix):
+    logjoint = log_densities_loop(X, mix) + np.log(mix.weights)
+    ll = _logsumexp(logjoint, axis=1)
+    resp = np.exp(logjoint - ll[:, None])
+    return resp, ll.mean()
+
+
+def _farthest_point_init(X, K, rng):
+    centers = [int(rng.integers(X.shape[0]))]
+    if K > 1:
+        d2 = ((X - X[centers[0]]) ** 2).sum(axis=1)
+        for _ in range(K - 1):
+            nxt = int(np.argmax(d2))
+            centers.append(nxt)
+            d2 = np.minimum(d2, ((X - X[nxt]) ** 2).sum(axis=1))
+    return X[np.array(centers)].copy()
+
+
+def fit_mixture_loop(X, K, rng, log_prior, max_iter=200, tol=1e-6):
+    """(mixture, per-iteration mean log-likelihoods), one component per
+    M-step pass."""
+    n, d = X.shape
+    floor = np.maximum(1e-6 * X.var(axis=0), 1e-12)
+    mix = SimpleNamespace(
+        weights=np.full(K, 1.0 / K),
+        means=_farthest_point_init(X, K, rng),
+        vars=np.maximum(np.tile(X.var(axis=0), (K, 1)), floor),
+        log_prior=log_prior,
+    )
+    trace = []
+    for _ in range(max_iter):
+        resp, ll = _estep(X, mix)
+        trace.append(ll)
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
+            break
+        for k in range(K):
+            r = resp[:, k]
+            nk = r.sum() + 1e-300
+            mean = (r[:, None] * X).sum(axis=0) / nk
+            var = (r[:, None] * (X - mean) ** 2).sum(axis=0) / nk
+            mix.weights[k] = nk / n
+            mix.means[k] = mean
+            mix.vars[k] = np.maximum(var, floor)
+        mix.weights /= mix.weights.sum()
+    return mix, trace

@@ -2,12 +2,17 @@
 decision rule, and the plain-text model format."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spsgmm import classifier, evaluate
 from spsgmm.classifier import (
+    BUDGET,
     DEFAULT_K_GRID,
     GmmModel,
     Mixture,
@@ -177,7 +182,117 @@ class TestFitGmm:
             fit_gmm(bad_label, K=1)
 
 
+@st.composite
+def em_cases(draw):
+    """(train, K, seed, budget) with n = K*d (the feasibility edge) among the
+    sizes, and BUDGET set so the fit runs g = budget // (n*d) components per
+    group: g = 0 (n*d above BUDGET, so one at a time), 1 < g < K, and g >= K."""
+    K = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    d = draw(st.integers(1, 12))
+    n = K * d + draw(st.sampled_from([0, 1, 9, 40]))
+    g = draw(st.integers(0, K + 1))
+    seed = draw(st.integers(0, 1000))
+    rng = np.random.default_rng(seed)
+    X = {
+        lab: rng.normal(0, 1, (n, d)) + rng.integers(0, 3, (n, 1)) * shift
+        for lab, shift in (("speech", 2.0), ("music", -1.5))
+    }
+    train = fvs(X["speech"], "speech") + fvs(X["music"], "music")
+    return train, K, seed, max(g * n * d, n * d // 2)
+
+
+class TestVectorizedEm:
+    """EM and scoring handle a group of components per numpy call and must
+    give every bit the per-component loop gives."""
+
+    @settings(max_examples=80)
+    @given(case=em_cases())
+    def test_matches_the_per_component_loop(self, case):
+        train, K, seed, budget = case
+        with mock.patch.object(classifier, "_fit_mixture", oracles.fit_mixture_loop), \
+                mock.patch.object(classifier, "_log_densities", oracles.log_densities_loop):
+            want = fit_gmm(train, K, seed)
+            want_scores = score(want, train)
+        with mock.patch.object(classifier, "BUDGET", budget):
+            got = fit_gmm(train, K, seed)
+            got_scores = score(got, train)
+        assert model_to_text(got) == model_to_text(want)
+        for label in ("speech", "music"):
+            assert got.train_meta["em_trace"][label] == want.train_meta["em_trace"][label]
+        assert [fields(s) for s in got_scores] == [fields(s) for s in want_scores]
+
+
+class TestMemoryBound:
+    """The (n, components, d) temporaries stay within BUDGET elements, so at
+    GTZAN-like sizes (n = 20 000, d = 60, K = 32; ungrouped, one temporary
+    would be 307 MB) peak traced memory stays within a few (n, d) arrays."""
+
+    MULTIPLE = 6
+    n, d, K = 20_000, 60, 32
+
+    def _peak(self, fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def _limit(self):
+        return self.MULTIPLE * max(BUDGET, self.n * self.d) * 8
+
+    def test_scoring(self):
+        rng = np.random.default_rng(5)
+
+        def mix():
+            return Mixture(
+                weights=np.full(self.K, 1.0 / self.K),
+                means=rng.normal(0, 1, (self.K, self.d)),
+                vars=rng.uniform(0.5, 2.0, (self.K, self.d)),
+                log_prior=math.log(0.5),
+            )
+
+        model = GmmModel(
+            feature_kind="sps_p",
+            standardizer=Standardizer(mean=np.zeros(self.d), std=np.ones(self.d)),
+            classes={"speech": mix(), "music": mix()},
+        )
+        rows = fvs(rng.normal(0, 1, (self.n, self.d)), "speech")
+        assert self._peak(lambda: score(model, rows)) <= self._limit()
+
+    def test_fit(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(0, 1, (self.n, self.d))
+        fit = lambda: classifier._fit_mixture(X, self.K, rng, math.log(0.5), max_iter=2)
+        assert self._peak(fit) <= self._limit()
+
+
 class TestGridSearch:
+    def test_fits_and_scores_through_the_module_names(self, monkeypatch):
+        # perfbench's classifier.fit_gmm span and em_iters counter wrap
+        # classifier.fit_gmm; a private helper would leave them empty
+        fits, scores, models = [], [], []
+        real_fit, real_score = classifier.fit_gmm, classifier.score
+
+        def fit(train, K, seed=0):
+            fits.append(K)
+            models.append(real_fit(train, K, seed))
+            return models[-1]
+
+        def counted_score(model, f):
+            scores.append(1)
+            return real_score(model, f)
+
+        monkeypatch.setattr(classifier, "fit_gmm", fit)
+        monkeypatch.setattr(classifier, "score", counted_score)
+        train = blobs(12, 10, d=2)  # inner split: 8 per class, so K = 8 is infeasible
+        with pytest.warns(UserWarning, match="skipped"):
+            model = grid_search(train, grid=[1, 2, 4, 8], seed=1)
+        assert fits == [1, 2, 4, model.train_meta["chosen_k"]]
+        assert len(scores) == 3
+        assert models[-1] is model
+        assert all("em_trace" in m.train_meta for m in models)
+
     def test_singleton_grid_matches_direct_fit(self):
         train = blobs(8, 40)
         g = grid_search(train, grid=[1], seed=9)
@@ -275,7 +390,7 @@ def no_scoring(monkeypatch):
 
 
 class TestBatchScore:
-    @pytest.mark.parametrize("K", [1, 2, 4])
+    @pytest.mark.parametrize("K", [1, 2, 4, 8])
     def test_list_equals_per_row_bit_for_bit(self, K):
         train = blobs(30 + K, 80, d=5, sep=2.0)
         model = fit_gmm(train, K=K, seed=K)
