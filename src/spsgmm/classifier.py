@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FitError, InputError
+from .sps_features import BASE_KINDS
 
 LABELS = ("speech", "music")
 DEFAULT_K_GRID = (1, 2, 4, 8, 16, 32)
@@ -352,27 +353,26 @@ def late_fuse_score(models, fs):
     dimension so no single feature dominates).  fs maps each kind to one
     vector, or each kind to a list of vectors (row i of every list from the
     same interval), in which case a list of scores is returned."""
-    expected = ("sps_p", "sps_zcr", "sps_scg")
-    if sorted(models) != sorted(expected) or sorted(fs) != sorted(expected):
-        raise InputError(f"late fusion needs models/features for kinds {expected}")
-    forms = {_is_list(fs[k]) for k in expected}
+    if sorted(models) != sorted(BASE_KINDS) or sorted(fs) != sorted(BASE_KINDS):
+        raise InputError(f"late fusion needs models/features for kinds {BASE_KINDS}")
+    forms = {_is_list(fs[k]) for k in BASE_KINDS}
     if len(forms) != 1:
         raise InputError("late fusion needs one vector per kind or one list per kind")
     as_list = forms.pop()
-    rows = {k: fs[k] if as_list else [fs[k]] for k in expected}
-    lengths = {len(rows[k]) for k in expected}
+    rows = {k: fs[k] if as_list else [fs[k]] for k in BASE_KINDS}
+    lengths = {len(rows[k]) for k in BASE_KINDS}
     if len(lengths) != 1:
         raise InputError(f"late fusion lists differ in length: {sorted(lengths)}")
     n = lengths.pop()
     for i in range(n):
-        prov = {(rows[k][i].source_id, rows[k][i].interval_index) for k in expected}
+        prov = {(rows[k][i].source_id, rows[k][i].interval_index) for k in BASE_KINDS}
         if len(prov) != 1:
             raise InputError(f"provenance mismatch in late fusion: {sorted(prov)}")
     if n == 0:
         return []
-    X = {k: _rows(models[k], rows[k]) for k in expected}
+    X = {k: _rows(models[k], rows[k]) for k in BASE_KINDS}
     fused = {lab: 0.0 for lab in LABELS}
-    for kind in expected:
+    for kind in BASE_KINDS:
         model = models[kind]
         ll = _class_log_liks(model, X[kind])
         for lab in LABELS:
@@ -416,6 +416,17 @@ def model_to_text(model):
     return "\n".join(lines) + "\n"
 
 
+def _numbers(convert, tokens, line):
+    try:
+        return [convert(t) for t in tokens]
+    except ValueError:
+        raise InputError(f"non-numeric value in model file line {line!r}") from None
+
+
+def _floats(text, line):
+    return np.array(_numbers(float, text.split(), line))
+
+
 def model_from_text(text):
     lines = [l for l in text.splitlines() if l.strip()]
     if not lines or lines[0] != "spsgmm v1":
@@ -441,25 +452,29 @@ def model_from_text(text):
             mode = "class"
         elif mode == "meta":
             if head == "k_grid":
-                meta["k_grid"] = [int(k) for k in rest.split(",") if k]
+                meta["k_grid"] = _numbers(int, [k for k in rest.split(",") if k], line)
             elif head in ("seed", "chosen_k", "dim"):
-                meta[head] = int(rest)
+                meta[head] = _numbers(int, [rest], line)[0]
             else:
                 meta[head] = rest
         elif mode == "standardizer":
-            std_fields[head] = np.array([float(v) for v in rest.split()])
+            std_fields[head] = _floats(rest, line)
         elif mode == "class":
             if head in ("means", "vars"):
-                rows = []
-                K = current["weights"].size
-                for _ in range(K):
-                    i += 1
-                    rows.append([float(v) for v in lines[i].split()])
-                current[head] = np.array(rows)
+                K = current["weights"].size if "weights" in current else 0
+                if K == 0:
+                    raise InputError(f"{head} block before a nonempty weights line")
+                if i + K >= len(lines):
+                    raise InputError(f"model file ends inside a {head} block")
+                rows = [_floats(row, row) for row in lines[i + 1 : i + 1 + K]]
+                if len({r.size for r in rows}) != 1:
+                    raise InputError(f"ragged {head} block in model file")
+                current[head] = np.stack(rows)
+                i += K
             elif head == "log_prior":
-                current[head] = float(rest)
+                current[head] = _numbers(float, [rest], line)[0]
             elif head == "weights":
-                current[head] = np.array([float(v) for v in rest.split()])
+                current[head] = _floats(rest, line)
             else:
                 raise InputError(f"unexpected line in model file: {line!r}")
         else:
@@ -468,6 +483,22 @@ def model_from_text(text):
     missing = [lab for lab in LABELS if lab not in classes]
     if missing or "mean" not in std_fields or "std" not in std_fields:
         raise InputError(f"model file incomplete (missing {missing or 'standardizer'})")
+    d = std_fields["mean"].size
+    if std_fields["std"].size != d or meta.get("dim", d) != d:
+        raise InputError(
+            f"model file dims disagree: standardizer mean {d}, "
+            f"std {std_fields['std'].size}, dim line {meta.get('dim', d)}"
+        )
+    for lab, c in classes.items():
+        lacking = [k for k in ("log_prior", "weights", "means", "vars") if k not in c]
+        if lacking:
+            raise InputError(f"model file incomplete (class {lab} lacks {lacking})")
+        K = c["weights"].size
+        if c["means"].shape != (K, d) or c["vars"].shape != (K, d):
+            raise InputError(
+                f"class {lab}: means {c['means'].shape} and vars {c['vars'].shape} "
+                f"must both be ({K}, {d})"
+            )
     mixes = {
         lab: Mixture(
             weights=c["weights"],

@@ -22,9 +22,9 @@ from .evaluate import (
     summary_csv_lines,
     trials_csv_lines,
 )
-from .spectral import WINDOWS, frame_interval, magnitude_spectra, make_frame_config, spectrogram_csv_lines
-from .sps_core import build_peak_matrix, sps_csv_lines
-from .sps_features import compute_attributes, distribution_csv_lines, feature_csv_lines
+from .spectral import WINDOWS, spectrogram_csv_lines
+from .sps_core import sps_csv_lines
+from .sps_features import KINDS, distribution_csv_lines, feature_csv_lines
 
 _FEATURE_FLAG = {
     "sps-p": "sps_p",
@@ -159,21 +159,22 @@ def _note(msg):
     print(msg, file=sys.stderr)
 
 
-def cmd_extract(args):
-    intervals = _load_intervals(args.input, args.interval_ms / 1000.0)
-    kinds = (
-        list(pipeline.BASE_KINDS) + ["early_fused"]
-        if args.feature == "all"
-        else [_FEATURE_FLAG[args.feature]]
-    )
-    if "late_fused" in kinds:
-        raise InputError("late-fused is a scoring scheme, not an extractable vector")
+def _extract(intervals, args, kinds):
+    """{kind: vectors of the intervals}, noting any peakless frames."""
     cache, diag = pipeline.extract_corpus(intervals, **_pipeline_kwargs(args))
     if diag["peakless_frames"]:
         _note(f"diagnostics: {diag['peakless_frames']} peakless frames")
+    return {kind: pipeline.vectors_of(cache, intervals, kind) for kind in kinds}
+
+
+def cmd_extract(args):
+    intervals = _load_intervals(args.input, args.interval_ms / 1000.0)
+    kinds = KINDS if args.feature == "all" else [_FEATURE_FLAG[args.feature]]
+    if "late_fused" in kinds:
+        raise InputError("late-fused is a scoring scheme, not an extractable vector")
+    by_kind = _extract(intervals, args, kinds)
     base, ext = os.path.splitext(args.out)
-    for kind in kinds:
-        vectors = [cache[(iv.source_id, iv.index)][kind] for iv in intervals]
+    for kind, vectors in by_kind.items():
         out = args.out if len(kinds) == 1 else f"{base}_{kind}{ext or '.csv'}"
         atomic_write_text(out, "\n".join(feature_csv_lines(vectors)) + "\n")
         print(f"wrote {out} ({len(vectors)} rows)")
@@ -187,10 +188,7 @@ def cmd_train(args):
     if report.skipped:
         _note(report.render())
     kind = _FEATURE_FLAG[args.feature]
-    cache, diag = pipeline.extract_corpus(intervals, **_pipeline_kwargs(args))
-    if diag["peakless_frames"]:
-        _note(f"diagnostics: {diag['peakless_frames']} peakless frames")
-    vectors = [cache[(iv.source_id, iv.index)][kind] for iv in intervals]
+    vectors = _extract(intervals, args, [kind])[kind]
     model = grid_search(vectors, _parse_grid(args.k_grid), args.seed)
     save_model(model, args.out)
     meta = model.train_meta
@@ -201,13 +199,10 @@ def cmd_train(args):
 
 def cmd_predict(args):
     model = load_model(args.model)
+    if model.feature_kind not in KINDS:
+        raise InputError(f"model feature kind {model.feature_kind!r} not extractable")
     intervals = _load_intervals(args.input, args.interval_ms / 1000.0)
-    vectors = []
-    for iv in intervals:
-        by_kind, _ = pipeline.extract_features(iv, **_pipeline_kwargs(args))
-        if model.feature_kind not in by_kind:
-            raise InputError(f"model feature kind {model.feature_kind!r} not extractable")
-        vectors.append(by_kind[model.feature_kind])
+    vectors = _extract(intervals, args, [model.feature_kind])[model.feature_kind]
     lines = ["source_id,interval_index,decision,margin,log_lik_speech,log_lik_music"]
     for iv, sc in zip(intervals, score(model, vectors)):
         lines.append(
@@ -273,38 +268,32 @@ def cmd_inspect(args):
         raise InputError(
             f"interval index {args.interval_index} out of range (file has {len(intervals)})"
         )
-    cfg = make_frame_config(sig.sample_rate, args.frame_ms, args.hop_ms, args.window)
     os.makedirs(args.out, exist_ok=True)
     emit = {"spectrogram", "sps", "dist"} if args.emit == "all" else {args.emit}
-    iv = intervals[args.interval_index]
-    mags = magnitude_spectra(frame_interval(iv, cfg), cfg)
-    written = []
-    peakless = 0
+    chosen = intervals[args.interval_index]
+    attrs_list, peakless = [], 0
+    for iv in intervals if "dist" in emit else [chosen]:
+        iv_mags, iv_m, attrs = pipeline.analyze(iv, **_pipeline_kwargs(args))
+        peakless += iv_m.peakless_frames
+        attrs_list.append(attrs)
+        if iv is chosen:
+            mags, m = iv_mags, iv_m
+
+    def write(name, lines):
+        path = os.path.join(args.out, name)
+        atomic_write_text(path, "\n".join(lines) + "\n")
+        print(f"wrote {path}")
+
     if "spectrogram" in emit:
-        path = os.path.join(args.out, "spectrogram.csv")
-        atomic_write_text(path, "\n".join(spectrogram_csv_lines(mags)) + "\n")
-        written.append(path)
+        write("spectrogram.csv", spectrogram_csv_lines(mags))
     if "sps" in emit:
-        m = build_peak_matrix(mags, args.p)
-        peakless += m.peakless_frames
-        path = os.path.join(args.out, "sps.csv")
-        atomic_write_text(path, "\n".join(sps_csv_lines(m)) + "\n")
-        written.append(path)
+        write("sps.csv", sps_csv_lines(m))
     if "dist" in emit:
-        attrs_list = []
-        for one in intervals:
-            m = build_peak_matrix(magnitude_spectra(frame_interval(one, cfg), cfg), args.p)
-            peakless += m.peakless_frames
-            attrs_list.append(compute_attributes(m))
         zcr_lines, ac_lines = distribution_csv_lines(attrs_list, args.p)
-        for name, lines in (("dist_zcr.csv", zcr_lines), ("dist_autocorr.csv", ac_lines)):
-            path = os.path.join(args.out, name)
-            atomic_write_text(path, "\n".join(lines) + "\n")
-            written.append(path)
+        write("dist_zcr.csv", zcr_lines)
+        write("dist_autocorr.csv", ac_lines)
     if peakless:
         _note(f"diagnostics: {peakless} peakless frames")
-    for path in written:
-        print(f"wrote {path}")
     return 0
 
 

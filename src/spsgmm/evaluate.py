@@ -23,7 +23,8 @@ from .classifier import (
     stratified_split,
 )
 from .errors import InputError
-from .pipeline import BASE_KINDS, extract_corpus
+from .pipeline import BASE_KINDS, extract_corpus, vectors_of
+from .sps_features import feature_dim
 
 EVAL_KINDS = ("sps_p", "sps_zcr", "sps_scg", "early_fused", "late_fused")
 
@@ -66,18 +67,18 @@ def _trial_seed(master, t):
     return master * 1_000_003 + t
 
 
-def _vectors_for(cache, intervals, kind):
-    return [cache[(iv.source_id, iv.index)][kind] for iv in intervals]
+def _trained_kinds(kind):
+    return BASE_KINDS if kind == "late_fused" else (kind,)
 
 
 def _run_trial(intervals, cache, kind, cfg, t, k_grid):
     tseed = _trial_seed(cfg.seed, t)
     train_iv, test_iv = stratified_split(intervals, cfg.train_frac, tseed, cfg.split_unit)
-    kinds = BASE_KINDS if kind == "late_fused" else (kind,)
+    kinds = _trained_kinds(kind)
     models = {
-        k: grid_search(_vectors_for(cache, train_iv, k), k_grid, tseed) for k in kinds
+        k: grid_search(vectors_of(cache, train_iv, k), k_grid, tseed) for k in kinds
     }
-    test = {k: _vectors_for(cache, test_iv, k) for k in kinds}
+    test = {k: vectors_of(cache, test_iv, k) for k in kinds}
     if kind == "late_fused":
         scores = late_fuse_score(models, test)
     else:
@@ -113,6 +114,14 @@ def run_experiment(
         feature_cache, diagnostics = extract_corpus(
             intervals, frame_ms=frame_ms, hop_ms=hop_ms, window=window, p=p
         )
+    for kind in _trained_kinds(feature_kind):
+        want = feature_dim(kind, p)
+        for f in vectors_of(feature_cache, intervals, kind):
+            if f.values.size != want:
+                raise InputError(
+                    f"feature cache holds {kind} vectors of size {f.values.size}, "
+                    f"expected {want} at p = {p}"
+                )
     trials = [
         _run_trial(intervals, feature_cache, feature_kind, cfg, t, k_grid)[0]
         for t in range(cfg.n_trials)

@@ -1,8 +1,9 @@
-"""End-to-end feature extraction: interval -> frames -> spectra -> peak
-matrix -> feature vectors of every kind."""
+"""Feature extraction, the one module that knows the stage order and the
+cache layout: interval -> frames -> spectra -> peak matrix -> features."""
 
 from .sps_core import build_peak_matrix
 from .sps_features import (
+    BASE_KINDS,
     compute_attributes,
     early_fuse,
     sps_periodicity,
@@ -11,17 +12,19 @@ from .sps_features import (
 )
 from .spectral import frame_interval, magnitude_spectra, make_frame_config
 
-BASE_KINDS = ("sps_p", "sps_zcr", "sps_scg")
+
+def analyze(interval, *, frame_ms=30.0, hop_ms=1.0, window="rect", p=20):
+    """(magnitude spectra, peak matrix, attributes) of one interval."""
+    cfg = make_frame_config(interval.sample_rate, frame_ms, hop_ms, window)
+    mags = magnitude_spectra(frame_interval(interval, cfg), cfg)
+    m = build_peak_matrix(mags, p)
+    return mags, m, compute_attributes(m)
 
 
 def extract_features(interval, *, frame_ms=30.0, hop_ms=1.0, window="rect", p=20):
     """All four feature vectors of one interval, plus the peakless-frame
     diagnostic count, as ({kind: FeatureVector}, peakless)."""
-    cfg = make_frame_config(interval.sample_rate, frame_ms, hop_ms, window)
-    frames = frame_interval(interval, cfg)
-    mags = magnitude_spectra(frames, cfg)
-    m = build_peak_matrix(mags, p)
-    attrs = compute_attributes(m)
+    _, m, attrs = analyze(interval, frame_ms=frame_ms, hop_ms=hop_ms, window=window, p=p)
     prov = {
         "label": interval.label,
         "source_id": interval.source_id,
@@ -40,8 +43,8 @@ def extract_features(interval, *, frame_ms=30.0, hop_ms=1.0, window="rect", p=20
 
 
 def extract_corpus(intervals, *, frame_ms=30.0, hop_ms=1.0, window="rect", p=20):
-    """Feature cache for a whole corpus: {(source_id, index): {kind: vector}}
-    and aggregate diagnostics."""
+    """Feature cache for a whole corpus, read back with vectors_of, and
+    aggregate diagnostics."""
     cache = {}
     peakless = 0
     for iv in intervals:
@@ -51,3 +54,8 @@ def extract_corpus(intervals, *, frame_ms=30.0, hop_ms=1.0, window="rect", p=20)
         cache[(iv.source_id, iv.index)] = vectors
         peakless += pl
     return cache, {"peakless_frames": peakless, "n_intervals": len(intervals)}
+
+
+def vectors_of(cache, intervals, kind):
+    """The cached vectors of one kind, in the order of the intervals."""
+    return [cache[(iv.source_id, iv.index)][kind] for iv in intervals]

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .sps_core import PeakSequenceMatrix, interior_maxima
 
-KINDS = ("sps_p", "sps_zcr", "sps_scg", "early_fused")
+BASE_KINDS = ("sps_p", "sps_zcr", "sps_scg")
+KINDS = BASE_KINDS + ("early_fused",)
 
 
 def feature_dim(kind, p):
@@ -154,10 +155,9 @@ def sps_scg(m, attrs, **kw):
 
 def early_fuse(fp, fz, fs):
     """Concatenate [sps_p | sps_zcr | sps_scg] vectors of one interval."""
-    expected = ("sps_p", "sps_zcr", "sps_scg")
     got = (fp.kind, fz.kind, fs.kind)
-    if got != expected:
-        raise InputError(f"early_fuse expects kinds {expected}, got {got}")
+    if got != BASE_KINDS:
+        raise InputError(f"early_fuse expects kinds {BASE_KINDS}, got {got}")
     prov = {(f.source_id, f.interval_index) for f in (fp, fz, fs)}
     if len(prov) != 1:
         raise InputError(f"provenance mismatch in early_fuse: {sorted(prov)}")

@@ -585,3 +585,37 @@ class TestModelFormat:
     def test_malformed_files(self, text, match):
         with pytest.raises(InputError, match=match):
             model_from_text(text)
+
+    @staticmethod
+    def _corrupted(text, how):
+        lines = text.splitlines()
+        m = lines.index("means")  # the speech class's block, after its weights
+        if how == "truncated vars":
+            lines = lines[:-1]
+        elif how == "non-numeric":
+            lines[m + 1] = "abc " + lines[m + 1].split(" ", 1)[1]
+        elif how == "means before weights":
+            weights = lines.pop(m - 1)
+            lines.insert(lines.index("class music"), weights)
+        elif how == "ragged means":
+            lines[m + 1] = lines[m + 1].rsplit(" ", 1)[0]
+        elif how == "dim":
+            lines[lines.index("dim 2")] = "dim 3"
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "how,match",
+        [
+            ("truncated vars", "ends inside a vars block"),
+            ("non-numeric", "non-numeric value"),
+            ("means before weights", "means block before"),
+            ("ragged means", "ragged means"),
+            ("dim", "dims disagree"),
+        ],
+    )
+    def test_corrupted_model_files(self, how, match):
+        text = model_to_text(fit_gmm(blobs(23, 30), K=2, seed=4))
+        bad = self._corrupted(text, how)
+        assert bad != text
+        with pytest.raises(InputError, match=match):
+            model_from_text(bad)

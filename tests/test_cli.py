@@ -163,6 +163,29 @@ class TestPredict:
         r = cli("predict", tmp_path / "ghost.model", speech_wav)
         assert r.returncode == 2
 
+    def test_malformed_model_exits_2(self, cli, model_path, speech_wav, tmp_path):
+        bad = tmp_path / "bad.model"
+        bad.write_text(model_path.read_text().replace("means\n", "means\nnot-a-number\n", 1))
+        r = cli("predict", bad, speech_wav, "--p", 3)
+        assert r.returncode == 2
+        assert "error:" in r.stderr and "Traceback" not in r.stderr
+
+    def test_unextractable_kind_refused_before_decoding(self, cli, model_path, tmp_path):
+        late = tmp_path / "late.model"
+        late.write_text(
+            model_path.read_text().replace("feature_kind sps_scg", "feature_kind late_fused")
+        )
+        r = cli("predict", late, tmp_path / "ghost.wav")  # never opened
+        assert r.returncode == 2
+        assert "not extractable" in r.stderr
+
+    def test_silent_file_notes_peakless_frames(self, cli, model_path, tmp_path):
+        quiet = tmp_path / "quiet.wav"
+        write_wav(quiet, np.zeros(22050), 22050)
+        r = cli("predict", model_path, quiet, "--p", 3)
+        assert r.returncode == 0, r.stderr
+        assert "diagnostics: 973 peakless frames" in r.stderr
+
 
 class TestEvaluate:
     def test_artifacts_and_determinism(self, cli, corpus_dirs, tmp_path):
@@ -244,6 +267,13 @@ class TestInspect:
         assert "peakless" in r.stderr
         rows = (tmp_path / "out" / "sps.csv").read_text().splitlines()[1:]
         assert all(row.endswith(",0") for row in rows)
+
+    def test_each_interval_counted_once(self, cli, tmp_path):
+        quiet = tmp_path / "quiet.wav"
+        write_wav(quiet, np.zeros(2 * 22050), 22050)
+        r = cli("inspect", quiet, "--p", 3, "--emit", "all", "--out", tmp_path / "out")
+        assert r.returncode == 0, r.stderr
+        assert "diagnostics: 1946 peakless frames" in r.stderr  # 2 intervals x 973
 
     def test_interval_index_out_of_range(self, cli, speech_wav, tmp_path):
         r = cli("inspect", speech_wav, "--interval-index", 99, "--out", tmp_path)

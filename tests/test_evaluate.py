@@ -229,6 +229,36 @@ class TestRunExperiment:
             for k in trained:
                 assert model_to_text(clean[k]) == model_to_text(dirty[k])
 
+    @pytest.mark.parametrize(
+        "kind,match",
+        [("sps_scg", "sps_scg vectors of size 9, expected 12"),
+         ("late_fused", "sps_p vectors of size 3, expected 4")],
+    )
+    def test_cache_built_at_another_p_rejected(
+        self, corpus_intervals, feature_cache, kind, match
+    ):
+        cache, _ = feature_cache  # built at p = 3
+        with pytest.raises(InputError, match=match):
+            run_experiment(
+                corpus_intervals, kind, TrialConfig(n_trials=1),
+                p=4, k_grid=K1, feature_cache=cache,
+            )
+
+    def test_without_cache_matches_cached_run(self, corpus_intervals, feature_cache):
+        cache, diag = feature_cache
+        cfg = TrialConfig(n_trials=2, seed=4)
+        own = run_experiment(corpus_intervals, "sps_scg", cfg, p=3, k_grid=K1)
+        given = run_experiment(
+            corpus_intervals, "sps_scg", cfg, p=3, k_grid=K1,
+            feature_cache=cache, diagnostics=diag,
+        )
+        for a, b in zip(own.trials, given.trials, strict=True):
+            assert (a.trial, a.chosen_k, a.f) == (b.trial, b.chosen_k, b.f)
+            np.testing.assert_array_equal(a.confusion, b.confusion)
+        assert (own.mean_f, own.var_f) == (given.mean_f, given.var_f)
+        assert own.config == given.config
+        assert own.diagnostics == given.diagnostics == diag
+
     def test_unknown_kind(self, corpus_intervals):
         with pytest.raises(InputError, match="feature_kind"):
             run_experiment(corpus_intervals, "pitch")

@@ -1,5 +1,6 @@
 """The package's modules form layers: no chain of relative imports, counting
-those deferred into function bodies, leads from a module back to itself."""
+those deferred into function bodies, leads from a module back to itself, and
+only `pipeline` imports the extraction stages to chain them."""
 
 import ast
 import pathlib
@@ -7,6 +8,21 @@ import pathlib
 import spsgmm
 
 PKG = pathlib.Path(spsgmm.__file__).parent
+
+STAGES = {
+    "frame_interval",
+    "magnitude_spectra",
+    "make_frame_config",
+    "build_peak_matrix",
+    "compute_attributes",
+}
+
+
+def relative_imports(path):
+    """Every relative `from ... import` node anywhere in a module's source."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            yield node
 
 
 def import_graph():
@@ -16,12 +32,11 @@ def import_graph():
     graph = {}
     for name, path in modules.items():
         deps = set()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ImportFrom) and node.level > 0:
-                if node.module:
-                    deps.add(node.module.split(".")[0])
-                else:  # from . import a, b
-                    deps.update(a.name for a in node.names if a.name in modules)
+        for node in relative_imports(path):
+            if node.module:
+                deps.add(node.module.split(".")[0])
+            else:  # from . import a, b
+                deps.update(a.name for a in node.names if a.name in modules)
         graph[name] = deps & modules.keys()
     return graph
 
@@ -67,3 +82,16 @@ def test_find_cycle_finds_a_planted_cycle():
 def test_no_import_cycle():
     cycle = find_cycle(import_graph())
     assert cycle is None, "import cycle: " + " -> ".join(cycle)
+
+
+def test_only_pipeline_chains_the_stages():
+    """The stage order lives in `pipeline`; other modules reach extraction
+    through it (`__init__` only re-exports the stage functions)."""
+    importers = {
+        path.stem
+        for path in PKG.glob("*.py")
+        for node in relative_imports(path)
+        if STAGES & {a.name for a in node.names}
+    }
+    assert importers <= {"pipeline", "__init__"}, sorted(importers)
+    assert "pipeline" in importers
