@@ -13,7 +13,7 @@ import sys
 from . import audio_io, pipeline
 from ._util import atomic_write_text
 from .classifier import grid_search, load_model, save_model, score
-from .errors import ConfigError, DecodeError, InputError, SpsgmmError
+from .errors import ConfigError, DecodeError, FitError, InputError, SpsgmmError
 from .evaluate import (
     EVAL_KINDS,
     TrialConfig,
@@ -233,18 +233,23 @@ def cmd_evaluate(args):
     )
     cache, diag = pipeline.extract_corpus(intervals, **_pipeline_kwargs(args))
     diag["skipped_files"] = len(scan.skipped)
-    reports = [
-        run_experiment(
-            intervals,
-            kind,
-            cfg,
-            **_pipeline_kwargs(args),
-            k_grid=_parse_grid(args.k_grid),
-            feature_cache=cache,
-            diagnostics=diag,
-        )
-        for kind in kinds
-    ]
+    reports, failed = [], []
+    for kind in kinds:
+        try:
+            reports.append(run_experiment(
+                intervals,
+                kind,
+                cfg,
+                **_pipeline_kwargs(args),
+                k_grid=_parse_grid(args.k_grid),
+                feature_cache=cache,
+                diagnostics=diag,
+            ))
+        except FitError as exc:  # report the kinds that finish, then exit 1
+            _note(f"error: {kind}: {exc}")
+            failed.append(kind)
+    if not reports:
+        return 1
     os.makedirs(args.out, exist_ok=True)
     text = report_text(reports)
     atomic_write_text(os.path.join(args.out, "report.txt"), text)
@@ -256,7 +261,7 @@ def cmd_evaluate(args):
     )
     sys.stdout.write(text[text.index("summary:"):])
     print(f"wrote report.txt, trials.csv, summary.csv to {args.out}")
-    return 0
+    return 1 if failed else 0
 
 
 def cmd_inspect(args):

@@ -70,6 +70,14 @@ class TestExtract:
         assert "error:" in r.stderr
         assert not out.exists()
 
+    def test_missing_output_dir_is_named(self, cli, speech_wav, tmp_path):
+        out = tmp_path / "missing_dir" / "feat.csv"
+        r = cli("extract", speech_wav, "--feature", "sps-zcr", "--p", 2, "--out", out)
+        assert r.returncode == 2
+        assert "No such file or directory" in r.stderr
+        assert str(out) in r.stderr and ".tmp-" not in r.stderr
+        assert not out.parent.exists()
+
     def test_late_fused_not_extractable(self, cli, speech_wav, tmp_path):
         r = cli(
             "extract", speech_wav, "--feature", "late-fused",
@@ -221,6 +229,29 @@ class TestEvaluate:
         assert [row.split(",")[0] for row in summary[1:]] == [
             "sps_p", "sps_zcr", "sps_scg", "early_fused", "late_fused",
         ]
+
+    def test_infeasible_kind_keeps_the_reports_of_the_others(self, cli, corpus_dirs, tmp_path):
+        def run(feature, out):
+            return cli(
+                "evaluate", corpus_dirs[0], corpus_dirs[1],
+                "--feature", feature, "--p", 3, "--k-grid", "1,2,4,8",
+                "--trials", 2, "--out", out,
+            )
+
+        # 15-dim early_fused needs more than the ~10 inner training
+        # intervals per class; the other kinds fit
+        r = run("all", tmp_path / "all")
+        assert r.returncode == 1
+        assert "error: early_fused: no feasible K in grid [1, 2, 4, 8]" in r.stderr
+        finished = ["sps_p", "sps_zcr", "sps_scg", "late_fused"]
+        summary = (tmp_path / "all" / "summary.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in summary[1:]] == finished
+        trials = (tmp_path / "all" / "trials.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in trials[1:]] == [k for k in finished for _ in range(2)]
+        assert "early_fused" not in (tmp_path / "all" / "report.txt").read_text()
+        one = run("sps-zcr", tmp_path / "one")
+        assert one.returncode == 0, one.stderr
+        assert (tmp_path / "one" / "summary.csv").read_text().splitlines()[1] == summary[2]
 
     def test_missing_dir_exits_2(self, cli, corpus_dirs, tmp_path):
         r = cli(

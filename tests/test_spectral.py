@@ -1,10 +1,16 @@
 """Framing arithmetic and DFT magnitudes against naive references."""
 
+import os
+import threading
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from spsgmm import _util, spectral
 from spsgmm.errors import ConfigError, InputError
 from spsgmm.spectral import (
     WINDOWS,
@@ -90,6 +96,12 @@ def one_frame(frame, cfg):
     return magnitude_spectra(np.asarray(frame)[None, :], cfg)[0]
 
 
+def one_rfft_call(frames, cfg):
+    """The spectra as one batched rfft, the way smooth lengths compute them."""
+    windowed = frames * np.hamming(cfg.frame_len) if cfg.window == "hamming" else frames
+    return np.abs(np.fft.rfft(windowed, axis=1)[:, : cfg.n_f])
+
+
 class TestMagnitudeSpectrum:
     def test_zero_frame(self):
         cfg = FrameConfig(frame_len=16, hop=1)
@@ -153,8 +165,7 @@ class TestMagnitudeSpectrum:
         frames = np.random.default_rng(frame_len).standard_normal((9, frame_len))
         got = magnitude_spectra(frames, cfg)
         assert got.flags.c_contiguous and got.shape == (9, cfg.n_f)
-        windowed = frames * np.hamming(frame_len) if window == "hamming" else frames
-        np.testing.assert_array_equal(got, np.abs(np.fft.rfft(windowed, axis=1))[:, : cfg.n_f])
+        np.testing.assert_array_equal(got, one_rfft_call(frames, cfg))
 
     def test_non_finite_sample_is_error(self):
         cfg = FrameConfig(frame_len=16, hop=1)
@@ -167,6 +178,128 @@ class TestMagnitudeSpectrum:
         cfg = FrameConfig(frame_len=16, hop=1)
         with pytest.raises(InputError):
             one_frame(np.zeros(15), cfg)
+
+
+def meeting_block(barrier):
+    """A block function that returns only once `barrier.parties` threads are
+    inside it at the same time (or raises BrokenBarrierError on timeout)."""
+    def fn(rows):
+        barrier.wait()
+        return threading.get_ident()
+
+    return fn
+
+
+@pytest.fixture
+def spy_blocks(monkeypatch):
+    """The row counts spectral.magnitude_spectra hands to map_row_blocks."""
+    calls = []
+
+    def spy(fn, n_rows):
+        calls.append(n_rows)
+        return _util.map_row_blocks(fn, n_rows)
+
+    monkeypatch.setattr(spectral, "map_row_blocks", spy)
+    return calls
+
+
+class TestRowBlockSplit:
+    @pytest.fixture(params=[2, 3])
+    def cores(self, request, monkeypatch):
+        monkeypatch.setattr(_util, "usable_cores", lambda: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("frame_len", [662, 1324])
+    @pytest.mark.parametrize("n_frames", [2, 127, 128, 129, 973])
+    def test_bit_identical_to_one_rfft_call(self, cores, spy_blocks, n_frames, frame_len, window):
+        cfg = FrameConfig(frame_len=frame_len, hop=1, window=window)
+        frames = np.random.default_rng(n_frames).standard_normal((n_frames, frame_len))
+        got = magnitude_spectra(frames, cfg)
+        assert spy_blocks == [n_frames]
+        assert got.flags.c_contiguous and got.shape == (n_frames, cfg.n_f)
+        np.testing.assert_array_equal(got, one_rfft_call(frames, cfg))
+
+    @pytest.mark.parametrize("frame_len", [480, 240, 1440])
+    def test_smooth_lengths_stay_one_call(self, cores, spy_blocks, frame_len):
+        cfg = FrameConfig(frame_len=frame_len, hop=1)
+        frames = np.random.default_rng(frame_len).standard_normal((300, frame_len))
+        np.testing.assert_array_equal(magnitude_spectra(frames, cfg), one_rfft_call(frames, cfg))
+        assert spy_blocks == []
+
+    @pytest.mark.parametrize("frame_len", [662, 1324, 882])  # 882 = 2 * 3^2 * 7^2
+    def test_lengths_with_a_prime_above_5_split(self, cores, spy_blocks, frame_len):
+        cfg = FrameConfig(frame_len=frame_len, hop=1)
+        frames = np.random.default_rng(frame_len).standard_normal((300, frame_len))
+        np.testing.assert_array_equal(magnitude_spectra(frames, cfg), one_rfft_call(frames, cfg))
+        assert spy_blocks == [300]
+
+    def test_one_core_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(_util, "usable_cores", lambda: 1)
+        cfg = FrameConfig(frame_len=662, hop=1)
+        frames = np.random.default_rng(0).standard_normal((973, 662))
+        before = threading.active_count()
+        idents = _util.map_row_blocks(lambda rows: threading.get_ident(), 973)
+        got = magnitude_spectra(frames, cfg)
+        assert threading.active_count() == before
+        assert idents == [threading.get_ident()] * 8
+        np.testing.assert_array_equal(got, one_rfft_call(frames, cfg))
+
+    def test_blocks_in_order_and_helpers_take_blocks(self, cores):
+        assert _util.map_row_blocks(lambda rows: (rows.start, rows.stop), 300) == [
+            (0, 128), (128, 256), (256, 300),
+        ]
+        assert _util.map_row_blocks(lambda rows: rows, 0) == []
+        # every worker must be inside a block at once for any block to finish
+        idents = _util.map_row_blocks(meeting_block(threading.Barrier(cores, timeout=30)), 128 * cores)
+        assert len(set(idents)) == cores
+
+    def test_helper_exception_reaches_the_caller(self, cores):
+        caller, raised = threading.get_ident(), threading.Event()
+
+        def fn(rows):
+            if threading.get_ident() != caller:
+                raised.set()
+                raise ValueError(f"block {rows.start}")
+            raised.wait(timeout=30)  # leave blocks for the helpers
+            return rows.start
+
+        with pytest.raises(ValueError, match="block"):
+            _util.map_row_blocks(fn, 128 * 8)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_helpers(self, monkeypatch):
+        monkeypatch.setattr(_util, "usable_cores", lambda: 2)
+        cfg = FrameConfig(frame_len=662, hop=1)
+        frames = np.random.default_rng(5).standard_normal((973, 662))
+        want = magnitude_spectra(frames, cfg)  # the parent's pool now has a thread
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                same = np.array_equal(magnitude_spectra(frames, cfg), want)
+                met = _util.map_row_blocks(meeting_block(threading.Barrier(2, timeout=20)), 256)
+                code = 0 if same and len(set(met)) == 2 else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child hung")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_non_finite_sample_raises_before_any_block(self, cores, spy_blocks):
+        cfg = FrameConfig(frame_len=662, hop=1)
+        frames = np.zeros((973, 662))
+        frames[900, 5] = np.inf
+        with pytest.raises(InputError, match="non-finite"):
+            magnitude_spectra(frames, cfg)
+        assert spy_blocks == []
 
 
 def test_spectrogram_csv_shape():
