@@ -160,6 +160,11 @@ def segment_intervals(sig, interval_s, source_id="", label=None):
     if interval_s <= 0:
         raise InputError("interval_s must be positive")
     ilen = round(interval_s * sig.sample_rate)
+    if ilen == 0:
+        raise InputError(
+            f"interval of {interval_s * 1000:g} ms is under one sample at "
+            f"{sig.sample_rate} Hz"
+        )
     n = sig.samples.size // ilen
     if n == 0:
         raise InputError(

@@ -1,6 +1,7 @@
 """Feature extraction, the one module that knows the stage order and the
 cache layout: interval -> frames -> spectra -> peak matrix -> features."""
 
+from .errors import ConfigError
 from .sps_core import build_peak_matrix
 from .sps_features import (
     BASE_KINDS,
@@ -24,6 +25,11 @@ def analyze(interval, *, frame_ms=30.0, hop_ms=1.0, window="rect", p=20):
 def extract_features(interval, *, frame_ms=30.0, hop_ms=1.0, window="rect", p=20):
     """All four feature vectors of one interval, plus the peakless-frame
     diagnostic count, as ({kind: FeatureVector}, peakless)."""
+    if p < 2:
+        raise ConfigError(
+            f"p must be >= 2 to extract features, got {p}: the centroid "
+            "gradient of sps_scg compares neighbouring peak rows"
+        )
     _, m, attrs = analyze(interval, frame_ms=frame_ms, hop_ms=hop_ms, window=window, p=p)
     prov = {
         "label": interval.label,

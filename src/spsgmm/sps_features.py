@@ -5,13 +5,16 @@ use the population convention (1/L).  The statistics follow from exact integer
 sums: with D = L*S - sum(S) (so that L*C = D), the biased autocorrelation is
 A[tau] = R[tau] / L**3 with the integer R[tau] = sum_l D[l] * D[l + tau], and
 the centroid, the standard deviation and the gap variance of sps_p are integer
-ratios too.  Each value is the exact one, correctly rounded once.  While
+ratios too.  R needs the lagged sums P[tau] = sum_l S[l] * S[l + tau]: one FFT
+of all rows gives them within a stated worst-case error below 1/4, so rounding
+makes them exact.  Each value is the exact one, correctly rounded once.  While
 R < 2**52 (every interval up to about 5 s at 22050 Hz with a 1 ms hop), that
 rounding keeps the strict order of distinct R values, so the maxima sps_p finds
 on the rounded autocorrelation are those of the exact one; beyond that point
 they are found on correctly rounded values.
 """
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,6 +62,30 @@ def _matrix_data(m):
     return m.data if isinstance(m, PeakSequenceMatrix) else np.asarray(m)
 
 
+def _lagged_sum_error_bound(L, hi, n):
+    """Worst-case |P^ - P| for lagged sums P of L values in [0, hi] computed
+    through length-n FFTs: e * L * hi**2 * (3 + 4 * sqrt(L)).
+
+    Each transform is taken to err by at most e = k / (1 - k) in the 2-norm,
+    k = log2(n) * 8u with u = 2**-53: Higham's bound for the radix-2 FFT
+    (Accuracy and Stability of Numerical Algorithms, 2nd ed., section 24.1,
+    Theorem 24.2), where eta = mu + gamma_4 * (sqrt(2) + mu) < 8u for twiddle
+    factors within mu <= 2u.  For a row x (||x||_2**2 <= L * hi**2,
+    ||x||_1 <= L * hi) with X = F x, ||X||_2**2 = n * ||x||_2**2:
+    - |X|**2 = X * conj(X) carries the error of both forward factors, and
+      the squares and the sum add gamma_2, so its 1-norm error is at most
+      (2e + e**2 + gamma_2 * (1 + e)**2) * n * ||x||_2**2 <= 3e * n * ||x||_2**2;
+      the inverse DFT, whose entries are 1/n in modulus, passes at most
+      3e * L * hi**2 of it to any lag.
+    - the inverse transform and its 1/n scale err by at most 2e times the
+      2-norm of its exact output, which is at most ||x||_1 * ||x||_2 plus the
+      error above, <= 2 * L**1.5 * hi**2 since n <= 4L.
+    At L = 9971 and hi = 661 (10 s at 44100 Hz with a 1 ms hop) the bound is
+    0.022."""
+    k = np.log2(n) * 8 * 2.0**-53
+    return k / (1 - k) * L * hi**2 * (3 + 4 * np.sqrt(L))
+
+
 def compute_attributes(m):
     """Centroid, centered rows, and biased autocorrelation up to the lag cap
     (L/2 for even L, (L+1)/2 for odd) of a matrix of non-negative integer
@@ -70,8 +97,12 @@ def compute_attributes(m):
         raise InputError(f"need non-negative integer bin indices, got a {S.dtype} matrix")
     L = S.shape[1]
     hi = int(S.max(initial=0))
-    # int64 holds every R, and float64 every lagged sum of products, exactly
-    if L**3 * hi**2 >= 2**63 or L * hi**2 >= 2**53:
+    cap = lag_cap(L)
+    # the smallest FFT length >= L + cap with no prime factor above 5, which
+    # pocketfft transforms fastest (30**64 is a multiple of each one < 2**64)
+    n = next(n for n in itertools.count(L + cap) if 30**64 % n == 0)
+    # int64 holds every R exactly, and rint gives every P exactly
+    if L**3 * hi**2 >= 2**63 or _lagged_sum_error_bound(L, hi, n) >= 0.25:
         raise InputError(
             f"peak matrix too large for exact autocorrelation: L = {L}, max bin = {hi}"
         )
@@ -80,15 +111,10 @@ def compute_attributes(m):
     T = Si.sum(axis=1)[:, None]
     mu = T[:, 0] / L
     C = Sf - mu[:, None]
-    cap = lag_cap(L)
     tau = np.arange(cap + 1)
-    # P[tau] = sum_l S[l] * S[l + tau]; integer partial sums below 2**53 are
-    # exact in float64
-    padded = np.zeros(L + cap)
-    P = np.empty((S.shape[0], cap + 1), np.int64)
-    for r, row in enumerate(Sf):
-        padded[:L] = row
-        P[r] = np.correlate(padded, row, "valid")
+    # P of every row from one FFT; zero padding to n >= L + cap stops wrap-around
+    F = np.fft.rfft(Sf, n)
+    P = np.rint(np.fft.irfft(F.real**2 + F.imag**2, n)[:, : cap + 1]).astype(np.int64)
     cs = np.zeros((S.shape[0], L + 1), np.int64)
     np.cumsum(Si, axis=1, out=cs[:, 1:])
     head = cs[:, L - tau]  # sum of S[l] for l < L - tau
@@ -107,21 +133,19 @@ def _provenance(kw):
     }
 
 
-def _gap_variance(a):
-    """Population variance of the gaps between interior maxima of one
-    autocorrelation row; fewer than two gaps count as perfectly periodic."""
-    lags = np.nonzero(interior_maxima(a))[0] + 1
-    if lags.size < 3:
-        return 0.0
-    gaps = np.diff(lags)
-    n, s1, s2 = gaps.size, int(gaps.sum()), int((gaps * gaps).sum())
-    return (n * s2 - s1 * s1) / (n * n)
-
-
 def sps_periodicity(attrs, **kw):
     """V_r: variance of the spacing between autocorrelation peaks, one value
-    per row.  Low values mean evenly spaced peaks, i.e. a periodic row."""
-    vals = np.array([_gap_variance(a) for a in attrs.autocorr])
+    per row.  Low values mean evenly spaced peaks, i.e. a periodic row; rows
+    with fewer than two gaps count as perfectly periodic."""
+    p = attrs.autocorr.shape[0]
+    rows, lags = np.nonzero(interior_maxima(attrs.autocorr))
+    within = rows[1:] == rows[:-1]  # no gap spans two rows
+    r, g = rows[1:][within], np.diff(lags)[within]
+    n = np.bincount(r, minlength=p)
+    s1, s2 = (np.bincount(r, w, minlength=p) for w in (g, g * g))
+    # integer sums, exact in float64, so the one division rounds correctly
+    vals = np.zeros(p)
+    np.divide(n * s2 - s1 * s1, n * n, out=vals, where=n >= 2)
     return FeatureVector(kind="sps_p", values=vals, **_provenance(kw))
 
 

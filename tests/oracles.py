@@ -10,9 +10,12 @@ not a formula.
 
 The row statistics are exact: lagged sums, variances and centroids are formed
 from Python integers and ``Fraction``, and rounded to float once at the end.
-The package promises the same correctly rounded values as long as the integer
-autocorrelation sums stay below 2**52 (intervals up to about 5 s at 22050 Hz
-with a 1 ms hop), so the test suite compares them for bit equality.
+The package gets the same integers by other means (lagged sums by one FFT of
+all rows, rounded to the nearest integer within a stated error bound; gap sums
+by ``bincount`` over all rows) and promises the same correctly rounded values
+as long as the integer autocorrelation sums stay below 2**52 (intervals up to
+about 5 s at 22050 Hz with a 1 ms hop), so the test suite compares them for bit
+equality.
 """
 
 import cmath

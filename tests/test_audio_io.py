@@ -130,6 +130,11 @@ class TestSegmentIntervals:
         with pytest.raises(InputError, match="shorter than one"):
             segment_intervals(sig, 1.0)
 
+    def test_interval_under_one_sample_is_error(self):
+        sig = AudioSignal(samples=np.zeros(22050), sample_rate=22050)
+        with pytest.raises(InputError, match=r"0\.01 ms is under one sample at 22050 Hz"):
+            segment_intervals(sig, 0.01 / 1000)  # round(0.2205) -> 0 samples
+
     def test_concatenation_reproduces_prefix(self):
         rng = np.random.default_rng(4)
         sig = AudioSignal(samples=rng.standard_normal(50000), sample_rate=22050)

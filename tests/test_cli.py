@@ -78,6 +78,21 @@ class TestExtract:
         assert str(out) in r.stderr and ".tmp-" not in r.stderr
         assert not out.parent.exists()
 
+    def test_interval_under_one_sample_exits_2(self, cli, speech_wav, tmp_path):
+        out = tmp_path / "feats.csv"
+        r = cli("extract", speech_wav, "--out", out, "--interval-ms", 0.01)
+        assert r.returncode == 2, r.stderr
+        assert "0.01 ms is under one sample at 22050 Hz" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
+
+    def test_single_row_names_p(self, cli, speech_wav, tmp_path):
+        out = tmp_path / "feats.csv"
+        r = cli("extract", speech_wav, "--feature", "sps-p", "--p", 1, "--out", out)
+        assert r.returncode == 2, r.stderr
+        assert "p must be >= 2 to extract features, got 1" in r.stderr
+        assert not out.exists()
+
     def test_late_fused_not_extractable(self, cli, speech_wav, tmp_path):
         r = cli(
             "extract", speech_wav, "--feature", "late-fused",
@@ -305,6 +320,18 @@ class TestInspect:
         r = cli("inspect", quiet, "--p", 3, "--emit", "all", "--out", tmp_path / "out")
         assert r.returncode == 0, r.stderr
         assert "diagnostics: 1946 peakless frames" in r.stderr  # 2 intervals x 973
+
+    def test_interval_under_one_sample_exits_2(self, cli, speech_wav, tmp_path):
+        r = cli("inspect", speech_wav, "--out", tmp_path / "out", "--interval-ms", 0.01)
+        assert r.returncode == 2, r.stderr
+        assert "0.01 ms is under one sample at 22050 Hz" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_single_row(self, cli, speech_wav, tmp_path):
+        r = cli("inspect", speech_wav, "--p", 1, "--emit", "all", "--out", tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert len((tmp_path / "sps.csv").read_text().splitlines()) == 1 + 973
+        assert len((tmp_path / "dist_zcr.csv").read_text().splitlines()) == 1 + 20
 
     def test_interval_index_out_of_range(self, cli, speech_wav, tmp_path):
         r = cli("inspect", speech_wav, "--interval-index", 99, "--out", tmp_path)

@@ -73,6 +73,39 @@ class TestComputeAttributes:
         with pytest.raises(InputError, match="too large"):
             compute_attributes(S)
 
+    @pytest.mark.parametrize(
+        "L, hi",
+        [
+            (9971, 661),  # 10 s at 44100 Hz with a 1 ms hop, bins up to 661
+            (2000, 8184),  # the largest max bin the error bound accepts at L = 2000
+        ],
+    )
+    def test_largest_accepted_sizes_are_exact(self, L, hi):
+        rng = np.random.default_rng(L)
+        S = np.empty((3, L), np.int64)
+        S[0] = hi  # constant at the max bin
+        S[1] = np.arange(L) % 2 * hi  # alternating 0 / max
+        S[2] = rng.integers(0, hi + 1, L)
+        S[2, 0] = hi
+        # R from integer np.correlate of D = L*S - sum(S), exact in int64 here
+        D = L * S - S.sum(axis=1, keepdims=True)
+        cap = lag_cap(L)
+        pad = np.zeros(cap, np.int64)
+        R = np.stack([np.correlate(np.concatenate([d, pad]), d, "valid") for d in D])
+        np.testing.assert_array_equal(compute_attributes(S).autocorr, R / L**3)
+
+    def test_past_the_fft_error_bound_is_error(self):
+        # one bin above the largest max bin accepted at L = 2000: the int64 and
+        # float64 limits still hold, so only the FFT error bound refuses it
+        L, hi = 2000, 8185
+        assert L**3 * hi**2 < 2**63 and L * hi**2 < 2**53
+        S = np.zeros((1, L), np.int64)
+        S[0, ::2] = hi
+        with pytest.raises(InputError, match="too large"):
+            compute_attributes(S)
+        S[0, ::2] = hi - 1
+        compute_attributes(S)
+
     def test_lag_cap_even_odd(self):
         assert lag_cap(4) == 2
         assert lag_cap(5) == 3
@@ -119,6 +152,30 @@ class TestSpsPeriodicity:
         for a in cases:
             vec = sps_periodicity(crafted_attrs([a]))
             assert vec.values[0] == 0.0
+
+    def test_rows_keep_their_own_gaps(self):
+        # rows with 0, 1 and 2 interior maxima next to rows with many: a gap
+        # taken across two rows would change the row after it
+        rows = [
+            [9, 0, 1, 0, 2, 0, 0, 1, 0, 0, 0, 3, 0],  # maxima at 2, 4, 7, 11
+            [9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 0, 0, 0],  # none
+            [9, 0, 0, 1, 0, 1, 0, 0, 0, 1, 0, 1, 0],  # 3, 5, 9, 11
+            [9, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0],  # 6
+            [9, 0, 1, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0],  # 2, 9
+            [9, 0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0],  # 2, 4, 7, 11
+            [9, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],  # 2, 10
+            [9, 1, 0, 1, 0, 1, 0, 2, 0, 1, 0, 0, 1],  # 3, 5, 7, 9
+        ]
+        vals = sps_periodicity(crafted_attrs(rows)).values
+        np.testing.assert_array_equal(vals, oracles.sps_p(np.array(rows, float)))
+        assert vals[0] == vals[5] == pytest.approx(2 / 3)
+        assert vals[1] == vals[3] == vals[4] == vals[6] == 0.0
+
+    @given(A=arrays(np.int64, st.tuples(st.integers(1, 12), st.integers(1, 16)),
+                    elements=st.integers(0, 3)))
+    def test_rows_match_the_oracle(self, A):
+        vals = sps_periodicity(crafted_attrs(A)).values
+        np.testing.assert_array_equal(vals, oracles.sps_p(A.astype(float)))
 
     @given(
         period=st.integers(2, 12),
