@@ -2,11 +2,24 @@
 
 Per class, a diagonal-covariance mixture is fit by EM on z-scored features
 (statistics from the training split only).  Means are initialized by
-farthest-point seeding from a seeded generator, every M-step floors the
-variances, and the whole fit is deterministic given the seed.  The component
-count is grid-searched by macro-F on a stratified 80:20 split of the training
-data; that splitter and that metric are the evaluation protocol's, kept here
-so that `evaluate` builds on this module and not the other way round.
+farthest-point seeding from one seeded generator, speech first, every M-step
+floors the variances, and the whole fit is deterministic given the seed.
+
+EM works on a stack of same-shape problems, (B, n, d), a group of components
+per numpy call.  The two classes share one stack when they have the same
+number of rows and a (2, n, 1, d) temporary fits BUDGET; otherwise each runs
+alone (B = 1) through the same loop.  At those sizes a step costs its numpy
+calls more than its arithmetic, so one shared step costs much less than two.
+A problem leaves the stack in the iteration where it converges.  Every
+reduction keeps the axis and memory layout of the one-class,
+one-component-at-a-time loop, so neither stacking nor grouping changes a bit
+of any model, EM trace or score.  Scoring stacks the two classes by the same
+rule when their component counts agree.
+
+The component count is grid-searched by macro-F on a stratified 80:20 split
+of the training data; that splitter and that metric are the evaluation
+protocol's, kept here so that `evaluate` builds on this module and not the
+other way round.
 
 Decision rule: argmax of class log-likelihood plus log prior; exact ties go
 to speech so confusion matrices are reproducible.
@@ -66,38 +79,54 @@ class ClassScore:
     margin: float  # speech posterior score minus music posterior score
 
 
-def _logsumexp(a, axis=-1):
-    m = a.max(axis=axis, keepdims=True)
+def _logsumexp(a):
+    """log sum exp over the last axis."""
+    m = np.maximum.reduce(a, axis=-1, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
-    return (m + np.log(np.exp(a - m).sum(axis=axis, keepdims=True))).squeeze(axis)
+    return np.log(np.add.reduce(np.exp(a - m), axis=-1)) + m[..., 0]
 
 
-def _groups(K, n, d):
-    """Slices of the K components, each small enough that an (n, g, d)
+def _groups(K, n, d, B=1):
+    """Slices of the K components, each small enough that a (B, n, g, d)
     temporary holds at most BUDGET elements, or one component when a single
     one is already larger.  Per-component arithmetic is the same in any
     group, so the slicing changes memory, never results."""
-    g = max(1, BUDGET // max(n * d, 1))
+    g = max(1, BUDGET // max(B * n * d, 1))
     return [slice(k, k + g) for k in range(0, K, g)]
 
 
-def _log_densities(X, mix):
-    """(n, K) log N(x | m_k, diag v_k), a group of components per pass."""
-    n, d = X.shape
-    lv = np.log(mix.vars).sum(axis=1)
-    out = np.empty((n, mix.weights.size))
-    for g in _groups(mix.weights.size, n, d):
-        z = ((X[:, None, :] - mix.means[g]) ** 2 / mix.vars[g]).sum(axis=2)
-        out[:, g] = -0.5 * (z + lv[g] + d * _LOG2PI)
+def _stacks(parts, alike, n, d):
+    """parts as one stack when they are alike and a (len(parts), n, 1, d)
+    temporary fits BUDGET, else one stack per part."""
+    return [parts] if alike and len(parts) * n * d <= BUDGET else [[p] for p in parts]
+
+
+def _log_joint(X, means, vars, logw, groups):
+    """(B, n, K) log w_k + log N(x | m_k, diag v_k) for B stacked problems:
+    X is (B, n, d) (or (1, n, d), shared), means and vars (B, K, d), logw
+    (B, K).  A group of components per pass, each step in place."""
+    d = X.shape[2]
+    lv = np.add.reduce(np.log(vars), axis=2)
+    out = np.empty((means.shape[0], X.shape[1], means.shape[1]))
+    x = X[:, :, None, :]
+    for g in groups:
+        z = np.subtract(x, means[:, None, g])
+        np.square(z, out=z)
+        np.divide(z, vars[:, None, g], out=z)
+        out[:, :, g] = np.add.reduce(z, axis=3) + lv[:, None, g]
+        del z  # before the next group's temporary
+    out += d * _LOG2PI
+    out *= -0.5
+    out += logw[:, None, :]
     return out
 
 
-def _estep(X, mix):
-    """Responsibilities and the mean per-sample log-likelihood."""
-    logjoint = _log_densities(X, mix) + np.log(mix.weights)
-    ll = _logsumexp(logjoint, axis=1)
-    resp = np.exp(logjoint - ll[:, None])
-    return resp, ll.mean()
+def _estep(X, means, vars, weights, groups):
+    """Responsibilities (B, n, K) and per-row log-likelihoods (B, n)."""
+    L = _log_joint(X, means, vars, np.log(weights), groups)
+    ll = _logsumexp(L)
+    np.subtract(L, ll[:, :, None], out=L)
+    return np.exp(L, out=L), ll
 
 
 def _farthest_point_init(X, K, rng):
@@ -113,36 +142,72 @@ def _farthest_point_init(X, K, rng):
     return X[np.array(centers)].copy()
 
 
-def _fit_mixture(X, K, rng, log_prior, max_iter=200, tol=1e-6):
-    n, d = X.shape
-    floor = np.maximum(1e-6 * X.var(axis=0), 1e-12)
-    mix = Mixture(
-        weights=np.full(K, 1.0 / K),
-        means=_farthest_point_init(X, K, rng),
-        vars=np.maximum(np.tile(X.var(axis=0), (K, 1)), floor),
-        log_prior=log_prior,
-    )
-    groups = _groups(K, n, d)
-    trace = []
+def _fit_mixtures(Xs, K, rng, max_iter=200, tol=1e-6):
+    """[(weights, means, vars, trace)] of a K-component mixture per (n, d)
+    array of Xs, seeded from rng in that order; one stack when they fit."""
+    n, d = Xs[0].shape
+    alike = all(x.shape == (n, d) for x in Xs)
+    return [fit for xs in _stacks(Xs, alike, n, d) for fit in _em(xs, K, rng, max_iter, tol)]
+
+
+def _em(xs, K, rng, max_iter, tol):
+    """EM on B same-shape (n, d) problems as one (B, n, d) stack, the whole
+    stack per numpy call."""
+    X = np.stack(xs) if len(xs) > 1 else xs[0][None]  # one alone: no copy
+    B, n, d = X.shape
+    v = X.var(axis=1, keepdims=True)
+    floor = np.maximum(1e-6 * v, 1e-12)
+    vars = np.repeat(np.maximum(v, floor), K, axis=1)
+    means = np.array([_farthest_point_init(x, K, rng) for x in X])
+    weights = np.full((B, K), 1.0 / K)
+    groups = _groups(K, n, d, B)
+    active = list(range(B))  # the problem in each row of the stack
+    traces = [[] for _ in range(B)]
+    fits = [None] * B
     for _ in range(max_iter):
-        resp, ll = _estep(X, mix)
-        trace.append(ll)
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
-            break
+        resp, ll = _estep(X, means, vars, weights, groups)
+        t = np.add.reduce(ll, axis=1) / n
+        keep = []
+        for b, i in enumerate(active):
+            trace = traces[i]
+            trace.append(t[b])
+            if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
+                fits[i] = (weights[b], means[b], vars[b], trace)
+            else:
+                keep.append(b)
+        if len(keep) < len(active):
+            if not keep:
+                return fits
+            X, resp, means, vars, weights, floor = (
+                a[keep] for a in (X, resp, means, vars, weights, floor)
+            )
+            active = [active[b] for b in keep]
         # nk adds each component's responsibilities pairwise along a
-        # contiguous row; resp.sum(axis=0) would add down the columns in
-        # sequence and change the last bits of every model.
-        R = np.ascontiguousarray(resp.T)
-        nk = R.sum(axis=1) + 1e-300
+        # contiguous row; a sum down the n axis would add in sequence and
+        # change the last bits of every model.
+        R = np.ascontiguousarray(resp.transpose(0, 2, 1))
+        nk = np.add.reduce(R, axis=2)
+        nk += 1e-300
+        Xg = X[:, None]
         for g in groups:
-            r = R[g, :, None]
-            mean = (r * X).sum(axis=1) / nk[g, None]
-            var = (r * (X - mean[:, None, :]) ** 2).sum(axis=1) / nk[g, None]
-            mix.means[g] = mean
-            mix.vars[g] = np.maximum(var, floor)
-        mix.weights = nk / n
-        mix.weights /= mix.weights.sum()
-    return mix, trace
+            r = R[:, g, :, None]
+            T = np.multiply(r, Xg)
+            mean = means[:, g]
+            np.add.reduce(T, axis=2, out=mean)
+            mean /= nk[:, g, None]
+            np.subtract(Xg, mean[:, :, None], out=T)
+            np.square(T, out=T)
+            T *= r
+            var = vars[:, g]
+            np.add.reduce(T, axis=2, out=var)
+            var /= nk[:, g, None]
+            np.maximum(var, floor, out=var)
+            del T  # before the next group's temporary
+        np.divide(nk, n, out=weights)
+        weights /= np.add.reduce(weights, axis=1, keepdims=True)
+    for b, i in enumerate(active):
+        fits[i] = (weights[b], means[b], vars[b], traces[i])
+    return fits
 
 
 def _collect(train):
@@ -166,8 +231,15 @@ def _collect(train):
     return kinds.pop(), {lab: np.stack(v) for lab, v in by_label.items()}
 
 
+def _check_k(grid):
+    bad = [K for K in grid if K < 1]
+    if bad:
+        raise InputError(f"K must be >= 1, got {', '.join(map(str, bad))}")
+
+
 def fit_gmm(train, K, seed=0):
     """Fit one K-component diagonal GMM per class on z-scored features."""
+    _check_k([K])
     kind, data = _collect(train)
     d = next(iter(data.values())).shape[1]
     for label in LABELS:
@@ -181,13 +253,13 @@ def fit_gmm(train, K, seed=0):
         mean=pooled.mean(axis=0), std=np.maximum(pooled.std(axis=0), 1e-8)
     )
     n_total = pooled.shape[0]
-    classes = {}
-    trace = {}
     rng = np.random.default_rng(seed)
-    for label in LABELS:
-        X = std.apply(data[label])
-        log_prior = math.log(data[label].shape[0] / n_total)
-        classes[label], trace[label] = _fit_mixture(X, K, rng, log_prior)
+    fits = _fit_mixtures([std.apply(data[lab]) for lab in LABELS], K, rng)
+    classes = {
+        lab: Mixture(w, m, v, math.log(data[lab].shape[0] / n_total))
+        for lab, (w, m, v, _) in zip(LABELS, fits)
+    }
+    trace = {lab: fit[3] for lab, fit in zip(LABELS, fits)}
     return GmmModel(
         feature_kind=kind,
         standardizer=std,
@@ -268,6 +340,7 @@ def grid_search(train, grid=DEFAULT_K_GRID, seed=0):
     grid = list(grid)
     if not grid:
         raise FitError("empty K grid")
+    _check_k(grid)
     _, data = _collect(train)
     d = next(iter(data.values())).shape[1]
     inner_train, inner_val = stratified_split(train, 0.8, seed, unit="interval")
@@ -310,12 +383,23 @@ def _rows(model, fs):
 
 
 def _class_log_liks(model, X):
-    """{label: (n,) log-likelihoods} of the rows of X under each class."""
-    x = model.standardizer.apply(X)
-    return {
-        lab: _logsumexp(_log_densities(x, mix) + np.log(mix.weights), axis=1)
-        for lab, mix in model.classes.items()
-    }
+    """{label: (n,) log-likelihoods} of the rows of X under each class;
+    mixtures with the same K are scored as one stack when it fits."""
+    n, d = X.shape
+    x = model.standardizer.apply(X)[None]
+    mixes = [model.classes[lab] for lab in LABELS]
+    alike = len({mix.weights.size for mix in mixes}) == 1
+    ll = []
+    for ms in _stacks(mixes, alike, n, d):
+        L = _log_joint(
+            x,
+            np.array([m.means for m in ms]),
+            np.array([m.vars for m in ms]),
+            np.log([m.weights for m in ms]),
+            _groups(ms[0].weights.size, n, d, len(ms)),
+        )
+        ll.extend(_logsumexp(L))
+    return dict(zip(LABELS, ll))
 
 
 def _class_scores(speech, music, margin):

@@ -168,6 +168,7 @@ def _extract(intervals, args, kinds):
 
 
 def cmd_extract(args):
+    pipeline.check_p(args.p)
     intervals = _load_intervals(args.input, args.interval_ms / 1000.0)
     kinds = KINDS if args.feature == "all" else [_FEATURE_FLAG[args.feature]]
     if "late_fused" in kinds:
@@ -182,6 +183,7 @@ def cmd_extract(args):
 
 
 def cmd_train(args):
+    pipeline.check_p(args.p)
     intervals, report = audio_io.scan_corpus(
         args.speech_dir, args.music_dir, args.interval_ms / 1000.0
     )
@@ -198,6 +200,7 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
+    pipeline.check_p(args.p)
     model = load_model(args.model)
     if model.feature_kind not in KINDS:
         raise InputError(f"model feature kind {model.feature_kind!r} not extractable")
@@ -219,6 +222,7 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
+    pipeline.check_p(args.p)
     intervals, scan = audio_io.scan_corpus(
         args.speech_dir, args.music_dir, args.interval_ms / 1000.0
     )

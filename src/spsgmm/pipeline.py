@@ -22,14 +22,19 @@ def analyze(interval, *, frame_ms=30.0, hop_ms=1.0, window="rect", p=20):
     return mags, m, compute_attributes(m)
 
 
-def extract_features(interval, *, frame_ms=30.0, hop_ms=1.0, window="rect", p=20):
-    """All four feature vectors of one interval, plus the peakless-frame
-    diagnostic count, as ({kind: FeatureVector}, peakless)."""
+def check_p(p):
+    """Refuse a p that feature extraction cannot use."""
     if p < 2:
         raise ConfigError(
             f"p must be >= 2 to extract features, got {p}: the centroid "
             "gradient of sps_scg compares neighbouring peak rows"
         )
+
+
+def extract_features(interval, *, frame_ms=30.0, hop_ms=1.0, window="rect", p=20):
+    """All four feature vectors of one interval, plus the peakless-frame
+    diagnostic count, as ({kind: FeatureVector}, peakless)."""
+    check_p(p)
     _, m, attrs = analyze(interval, frame_ms=frame_ms, hop_ms=hop_ms, window=window, p=p)
     prov = {
         "label": interval.label,

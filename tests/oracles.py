@@ -211,11 +211,12 @@ def macro_f(cm):
 # diagonal mixture EM, one component at a time
 #
 # A literal transcription of the classifier's EM and log density as they were
-# written before they handled a group of components per numpy call.  The
-# vectorized code promises every bit of every model, margin and EM trace, so
-# these keep numpy's summation order: pairwise along a contiguous row,
-# in sequence down a column.  A mixture is anything with .weights, .means,
-# .vars and .log_prior; fit_mixture_loop returns a SimpleNamespace.
+# written before they handled a group of components, and both classes, per
+# numpy call.  The vectorized code promises every bit of every model, margin
+# and EM trace, so these keep numpy's summation order: pairwise along a
+# contiguous row, in sequence down a column.  A mixture is anything with
+# .weights, .means, .vars and .log_prior; fit_mixture_loop returns a
+# SimpleNamespace.
 
 _LOG2PI = math.log(2.0 * math.pi)
 

@@ -14,10 +14,12 @@ from spsgmm import classifier, evaluate
 from spsgmm.classifier import (
     BUDGET,
     DEFAULT_K_GRID,
+    LABELS,
     GmmModel,
     Mixture,
     Standardizer,
     _estep,
+    _groups,
     fit_gmm,
     grid_search,
     late_fuse_score,
@@ -143,22 +145,28 @@ class TestFitGmm:
 
     def test_responsibilities_sum_to_one(self):
         rng = np.random.default_rng(11)
-        X = rng.normal(0, 1, (50, 3))
-        mix = Mixture(
-            weights=np.array([0.25, 0.75]),
-            means=rng.normal(0, 1, (2, 3)),
-            vars=rng.uniform(0.5, 2.0, (2, 3)),
-            log_prior=math.log(0.5),
+        X = rng.normal(0, 1, (2, 50, 3))
+        resp, ll = _estep(
+            X,
+            rng.normal(0, 1, (2, 2, 3)),
+            rng.uniform(0.5, 2.0, (2, 2, 3)),
+            np.array([[0.25, 0.75], [0.5, 0.5]]),
+            _groups(2, 50, 3, 2),
         )
-        resp, ll = _estep(X, mix)
-        np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
-        assert np.isfinite(ll)
+        assert resp.shape == (2, 50, 2) and ll.shape == (2, 50)
+        np.testing.assert_allclose(resp.sum(axis=2), 1.0, atol=1e-12)
+        assert np.all(np.isfinite(ll))
 
     def test_deterministic_given_seed(self):
         train = blobs(6, 60)
         a = fit_gmm(train, K=4, seed=42)
         b = fit_gmm(train, K=4, seed=42)
         assert model_to_text(a) == model_to_text(b)
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_k_below_one_is_error(self, K):
+        with pytest.raises(InputError, match=f"K must be >= 1, got {K}"):
+            fit_gmm(blobs(7, 5), K=K)
 
     def test_too_few_vectors_for_k(self):
         train = blobs(7, 5, d=4)  # needs K*d = 12 per class
@@ -185,41 +193,113 @@ class TestFitGmm:
 @st.composite
 def em_cases(draw):
     """(train, K, seed, budget) with n = K*d (the feasibility edge) among the
-    sizes, and BUDGET set so the fit runs g = budget // (n*d) components per
-    group: g = 0 (n*d above BUDGET, so one at a time), 1 < g < K, and g >= K."""
+    sizes and classes of equal or unequal size.  The budget is g*n*d (n of
+    speech) for g from 0 to 2K + 2, or n*d // 2 for g = 0.  Equal classes
+    share one stack (B = 2) from g = 2 on, with g // 2 components per group;
+    otherwise each class runs alone with about g per group (one at a time
+    for g = 0).  So both sides of the stacking threshold are drawn, each
+    with groups of one, of 1 < size < K and of all K components."""
     K = draw(st.sampled_from([1, 2, 3, 5, 8]))
     d = draw(st.integers(1, 12))
-    n = K * d + draw(st.sampled_from([0, 1, 9, 40]))
-    g = draw(st.integers(0, K + 1))
+    extra = st.sampled_from([0, 1, 9, 40])
+    n = {"speech": K * d + draw(extra)}
+    n["music"] = n["speech"] if draw(st.booleans()) else K * d + draw(extra)
+    g = draw(st.integers(0, 2 * K + 2))
     seed = draw(st.integers(0, 1000))
     rng = np.random.default_rng(seed)
     X = {
-        lab: rng.normal(0, 1, (n, d)) + rng.integers(0, 3, (n, 1)) * shift
+        lab: rng.normal(0, 1, (n[lab], d)) + rng.integers(0, 3, (n[lab], 1)) * shift
         for lab, shift in (("speech", 2.0), ("music", -1.5))
     }
     train = fvs(X["speech"], "speech") + fvs(X["music"], "music")
-    return train, K, seed, max(g * n * d, n * d // 2)
+    nd = n["speech"] * d
+    return train, K, seed, max(g * nd, nd // 2)
+
+
+def oracle_fit(train, K, seed):
+    """fit_gmm rebuilt from oracles.fit_mixture_loop: the same standardizer,
+    then speech and music fit one after the other from one generator."""
+    data = {lab: np.stack([f.values for f in train if f.label == lab]) for lab in LABELS}
+    pooled = np.concatenate([data[lab] for lab in LABELS])
+    std = Standardizer(mean=pooled.mean(axis=0), std=np.maximum(pooled.std(axis=0), 1e-8))
+    rng = np.random.default_rng(seed)
+    classes, trace = {}, {}
+    for lab in LABELS:
+        log_prior = math.log(data[lab].shape[0] / pooled.shape[0])
+        mix, trace[lab] = oracles.fit_mixture_loop(std.apply(data[lab]), K, rng, log_prior)
+        classes[lab] = Mixture(mix.weights, mix.means, mix.vars, mix.log_prior)
+    return GmmModel(
+        feature_kind=train[0].kind,
+        standardizer=std,
+        classes=classes,
+        train_meta={"seed": seed, "k_grid": [K], "chosen_k": K, "em_trace": trace},
+    )
+
+
+def oracle_scores(model, fs):
+    """fields() of each vector's score, from oracles.log_densities_loop."""
+    x = model.standardizer.apply(np.stack([f.values for f in fs]))
+    post = {}
+    for lab, mix in model.classes.items():
+        ll = oracles._logsumexp(oracles.log_densities_loop(x, mix) + np.log(mix.weights), axis=1)
+        post[lab] = (ll, ll + mix.log_prior)
+    margin = post["speech"][1] - post["music"][1]
+    return [
+        (g, s, m, "speech" if g >= 0 else "music")
+        for g, s, m in zip(margin.tolist(), post["speech"][0].tolist(), post["music"][0].tolist())
+    ]
 
 
 class TestVectorizedEm:
-    """EM and scoring handle a group of components per numpy call and must
-    give every bit the per-component loop gives."""
+    """EM and scoring handle both classes and a group of components per numpy
+    call and must give every bit the per-component loop gives."""
 
     @settings(max_examples=80)
     @given(case=em_cases())
     def test_matches_the_per_component_loop(self, case):
         train, K, seed, budget = case
-        with mock.patch.object(classifier, "_fit_mixture", oracles.fit_mixture_loop), \
-                mock.patch.object(classifier, "_log_densities", oracles.log_densities_loop):
-            want = fit_gmm(train, K, seed)
-            want_scores = score(want, train)
+        want = oracle_fit(train, K, seed)
         with mock.patch.object(classifier, "BUDGET", budget):
             got = fit_gmm(train, K, seed)
             got_scores = score(got, train)
         assert model_to_text(got) == model_to_text(want)
-        for label in ("speech", "music"):
+        for label in LABELS:
             assert got.train_meta["em_trace"][label] == want.train_meta["em_trace"][label]
-        assert [fields(s) for s in got_scores] == [fields(s) for s in want_scores]
+        assert [fields(s) for s in got_scores] == oracle_scores(want, train)
+
+    @pytest.mark.parametrize(
+        "n_speech, n_music, budget, stacks",
+        [
+            (30, 30, BUDGET, [2]),  # equal and small: one stack
+            (30, 31, BUDGET, [1, 1]),  # unequal: one class at a time
+            (30, 30, 2 * 30 * 4, [2]),  # (2, n, 1, d) just fits
+            (30, 30, 2 * 30 * 4 - 1, [1, 1]),  # and just does not
+        ],
+    )
+    def test_classes_share_a_stack_when_it_fits(self, n_speech, n_music, budget, stacks):
+        rng = np.random.default_rng(3)
+        train = fvs(rng.normal(0, 1, (n_speech, 4)), "speech") + fvs(
+            rng.normal(1, 1, (n_music, 4)), "music"
+        )
+        seen = []
+        real = classifier._em
+
+        def em(xs, *args):
+            seen.append(len(xs))
+            return real(xs, *args)
+
+        with mock.patch.object(classifier, "BUDGET", budget), \
+                mock.patch.object(classifier, "_em", em):
+            got = fit_gmm(train, 2, seed=4)
+        assert seen == stacks
+        assert model_to_text(got) == model_to_text(oracle_fit(train, 2, 4))
+
+    def test_scores_mixtures_of_different_k(self):
+        train = blobs(21, 40, d=3, sep=3.0)
+        model = fit_gmm(train, 1, seed=2)
+        model.classes["music"] = fit_gmm(train, 3, seed=2).classes["music"]
+        test = blobs(22, 10, d=3, sep=3.0)
+        assert [fields(s) for s in score(model, test)] == oracle_scores(model, test)
 
 
 class TestMemoryBound:
@@ -262,8 +342,8 @@ class TestMemoryBound:
 
     def test_fit(self):
         rng = np.random.default_rng(6)
-        X = rng.normal(0, 1, (self.n, self.d))
-        fit = lambda: classifier._fit_mixture(X, self.K, rng, math.log(0.5), max_iter=2)
+        Xs = [rng.normal(0, 1, (self.n, self.d)) for _ in LABELS]
+        fit = lambda: classifier._fit_mixtures(Xs, self.K, rng, max_iter=2)
         assert self._peak(fit) <= self._limit()
 
 
@@ -338,6 +418,16 @@ class TestGridSearch:
         with pytest.raises(FitError, match="empty K grid"):
             grid_search(blobs(14, 10), grid=[], seed=0)
 
+    def test_k_below_one_is_error_before_any_fit(self, monkeypatch):
+        def fit(*args):
+            raise AssertionError("fit before the grid was checked")
+
+        monkeypatch.setattr(classifier, "fit_gmm", fit)
+        with pytest.raises(InputError, match="K must be >= 1, got 0"):
+            grid_search(blobs(14, 10), grid=[0, 1], seed=0)
+        with pytest.raises(InputError, match="got -2, 0"):
+            grid_search(blobs(14, 10), grid=[2, -2, 0], seed=0)
+
     @pytest.mark.parametrize("K", [1, 2, 4])
     def test_validation_uses_the_protocol_split_and_metric(self, K):
         pooled = blobs(43, 50, d=2, sep=1.5)
@@ -383,10 +473,10 @@ def fields(s):
 def no_scoring(monkeypatch):
     """Make any log-density pass fail the test."""
 
-    def boom(X, mix):
+    def boom(*args):
         raise AssertionError("scored before the input was checked")
 
-    monkeypatch.setattr(classifier, "_log_densities", boom)
+    monkeypatch.setattr(classifier, "_log_joint", boom)
 
 
 class TestBatchScore:

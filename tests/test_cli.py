@@ -93,6 +93,24 @@ class TestExtract:
         assert "p must be >= 2 to extract features, got 1" in r.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["extract", "train", "predict", "evaluate"])
+    def test_p_checked_before_decoding(self, cli, model_path, tmp_path, command):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "broken.wav").write_bytes(b"not a wav file")
+        out = tmp_path / "out"
+        inputs = {
+            "extract": [bad],
+            "train": [bad, bad],
+            "predict": [model_path, bad],
+            "evaluate": [bad, bad],
+        }[command]
+        r = cli(command, *inputs, "--p", 1, "--out", out)
+        assert r.returncode == 2, r.stderr
+        assert "p must be >= 2 to extract features, got 1" in r.stderr
+        assert "RIFF" not in r.stderr
+        assert not out.exists()
+
     def test_late_fused_not_extractable(self, cli, speech_wav, tmp_path):
         r = cli(
             "extract", speech_wav, "--feature", "late-fused",
