@@ -22,7 +22,9 @@ from .audio_io import (
 from .classifier import (
     ClassScore,
     GmmModel,
+    Rows,
     Standardizer,
+    as_rows,
     fit_gmm,
     grid_search,
     late_fuse_score,

@@ -1,7 +1,9 @@
-"""Two-class Gaussian-mixture classifier.
+"""Two-class Gaussian-mixture classifier on feature rows.
 
-Per class, a diagonal-covariance mixture is fit by EM on z-scored features
-(statistics from the training split only).  Means are initialized by
+Fitting and scoring take `Rows` (a feature kind, an (n, d) table, label
+codes), which `as_rows` stacks from FeatureVectors; `score` also takes one
+vector.  Per class, a diagonal-covariance mixture is fit by EM on z-scored
+features (statistics from the training rows only).  Means are initialized by
 farthest-point seeding from one seeded generator, speech first, every M-step
 floors the variances, and the whole fit is deterministic given the seed.
 
@@ -17,9 +19,9 @@ of any model, EM trace or score.  Scoring stacks the two classes by the same
 rule when their component counts agree.
 
 The component count is grid-searched by macro-F on a stratified 80:20 split
-of the training data; that splitter and that metric are the evaluation
-protocol's, kept here so that `evaluate` builds on this module and not the
-other way round.
+of the training rows, drawn by the evaluation protocol's splitter; that
+splitter and that metric are kept here so that `evaluate` builds on this
+module and not the other way round.
 
 Decision rule: argmax of class log-likelihood plus log prior; exact ties go
 to speech so confusion matrices are reproducible.
@@ -77,6 +79,48 @@ class ClassScore:
     log_lik_music: float
     decision: str
     margin: float  # speech posterior score minus music posterior score
+
+
+@dataclass(frozen=True, eq=False)
+class RowScores:
+    """The ClassScore fields of n rows as (n,) arrays, decisions as codes."""
+
+    log_lik_speech: np.ndarray
+    log_lik_music: np.ndarray
+    margin: np.ndarray
+
+    @property
+    def decision(self):
+        return np.where(self.margin >= 0, 0, 1)  # exact ties to speech
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Feature rows of one kind: X is (n, d) float64, y the (n,) label codes
+    (indices into LABELS), or None for unlabelled rows."""
+
+    kind: str
+    X: np.ndarray
+    y: np.ndarray | None = None
+
+    def take(self, idx):
+        """The rows at the positions idx, in that order."""
+        return Rows(self.kind, self.X[idx], None if self.y is None else self.y[idx])
+
+
+def as_rows(vectors):
+    """Stack FeatureVectors of one kind and one dimension as Rows, their
+    labels as codes; vectors that all lack a label give unlabelled rows."""
+    if not vectors:
+        raise InputError("empty feature vector set")
+    kinds, dims = {f.kind for f in vectors}, {f.values.size for f in vectors}
+    if len(kinds) != 1 or len(dims) != 1:
+        raise InputError(f"mixed feature kinds or dimensions: {sorted(kinds)}, {sorted(dims)}")
+    labels = {f.label for f in vectors}
+    if labels - set(LABELS) and labels != {None}:
+        raise InputError(f"unlabeled or unknown-label vectors among {sorted(labels, key=repr)}")
+    y = None if labels == {None} else np.array([LABELS.index(f.label) for f in vectors])
+    return Rows(kinds.pop(), np.stack([f.values for f in vectors]), y)
 
 
 def _logsumexp(a):
@@ -210,58 +254,43 @@ def _em(xs, K, rng, max_iter, tol):
     return fits
 
 
-def _collect(train):
-    """Validate a labeled vector set and return (kind, {label: (n, d) array})."""
-    if not train:
-        raise InputError("empty training set")
-    kinds = {f.kind for f in train}
-    if len(kinds) != 1:
-        raise InputError(f"mixed feature kinds in training set: {sorted(kinds)}")
-    dims = {f.values.size for f in train}
-    if len(dims) != 1:
-        raise InputError(f"mixed feature dimensions in training set: {sorted(dims)}")
-    by_label = {}
-    for f in train:
-        if f.label not in LABELS:
-            raise InputError(f"unlabeled or unknown-label vector: {f.label!r}")
-        by_label.setdefault(f.label, []).append(f.values)
-    for label in LABELS:
-        if label not in by_label:
-            raise FitError(f"class {label!r} has no training vectors")
-    return kinds.pop(), {lab: np.stack(v) for lab, v in by_label.items()}
-
-
-def _check_k(grid):
-    bad = [K for K in grid if K < 1]
+def check_counts(name, values):
+    """Refuse, by name, values that are not integers >= 1 (numpy ints count)."""
+    odd = [v for v in values if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
+    if odd:
+        raise InputError(f"{name} must be an integer, got {', '.join(map(repr, odd))}")
+    bad = [v for v in values if v < 1]
     if bad:
-        raise InputError(f"K must be >= 1, got {', '.join(map(str, bad))}")
+        raise InputError(f"{name} must be >= 1, got {', '.join(map(str, bad))}")
 
 
 def fit_gmm(train, K, seed=0):
-    """Fit one K-component diagonal GMM per class on z-scored features."""
-    _check_k([K])
-    kind, data = _collect(train)
-    d = next(iter(data.values())).shape[1]
-    for label in LABELS:
-        if data[label].shape[0] < K * d:
-            raise FitError(
-                f"class {label!r} has {data[label].shape[0]} vectors; "
-                f"K={K} with dim {d} needs at least {K * d}"
-            )
-    pooled = np.concatenate([data[lab] for lab in LABELS])
+    """Fit one K-component diagonal GMM per class on z-scored features;
+    train is labelled Rows or a list of labelled FeatureVectors."""
+    check_counts("K", [K])
+    rows = train if isinstance(train, Rows) else as_rows(train)
+    counts = [] if rows.y is None else np.bincount(rows.y, minlength=len(LABELS)).tolist()
+    if len(counts) != len(LABELS):
+        raise InputError("training rows must be labeled, with codes 0 (speech) and 1 (music)")
+    d = rows.X.shape[1]
+    for label, n in zip(LABELS, counts):
+        if n < K * d:
+            raise FitError(f"class {label!r} has {n} vectors; "
+                           f"K={K} with dim {d} needs at least {K * d}")
+    pooled = rows.X[np.argsort(rows.y, kind="stable")]  # speech rows, then music
     std = Standardizer(
         mean=pooled.mean(axis=0), std=np.maximum(pooled.std(axis=0), 1e-8)
     )
-    n_total = pooled.shape[0]
+    n_speech, n_total = counts[0], pooled.shape[0]
     rng = np.random.default_rng(seed)
-    fits = _fit_mixtures([std.apply(data[lab]) for lab in LABELS], K, rng)
+    fits = _fit_mixtures([std.apply(pooled[:n_speech]), std.apply(pooled[n_speech:])], K, rng)
     classes = {
-        lab: Mixture(w, m, v, math.log(data[lab].shape[0] / n_total))
-        for lab, (w, m, v, _) in zip(LABELS, fits)
+        lab: Mixture(w, m, v, math.log(n / n_total))
+        for lab, n, (w, m, v, _) in zip(LABELS, counts, fits)
     }
     trace = {lab: fit[3] for lab, fit in zip(LABELS, fits)}
     return GmmModel(
-        feature_kind=kind,
+        feature_kind=rows.kind,
         standardizer=std,
         classes=classes,
         train_meta={"seed": seed, "k_grid": [K], "chosen_k": K, "em_trace": trace},
@@ -269,10 +298,10 @@ def fit_gmm(train, K, seed=0):
 
 
 def confusion_matrix(y_true, y_pred):
-    cm = np.zeros((2, 2), np.int64)
-    for t, p in zip(y_true, y_pred, strict=True):
-        cm[LABELS.index(t), LABELS.index(p)] += 1
-    return cm
+    """2x2 counts of label codes, rows true and columns predicted."""
+    if np.shape(y_true) != np.shape(y_pred):
+        raise ValueError(f"{np.size(y_true)} true labels against {np.size(y_pred)} predictions")
+    return np.bincount(2 * np.asarray(y_true) + y_pred, minlength=4).reshape(2, 2)
 
 
 def f_score(cm):
@@ -299,62 +328,66 @@ def f_score(cm):
     return (fs[0] + fs[1]) / 2
 
 
+def _drawn(rng, m, frac):
+    """Mask of the round(frac * m) of m keys drawn, at least 1 and at most m - 1."""
+    mask = np.zeros(m, bool)
+    mask[rng.permutation(m)[: min(max(round(frac * m), 1), m - 1)]] = True
+    return mask
+
+
 def stratified_split(intervals, frac, seed, unit="file"):
     """Split labeled intervals into (train, test), per class.  With
     unit='file' whole sources move together; per-class proportions land
     within one file of frac, and both sides keep at least one group."""
     if unit not in ("file", "interval"):
         raise InputError("unit must be 'file' or 'interval'")
-    present = {iv.label for iv in intervals}
-    if set(LABELS) - present:
-        raise InputError(f"both classes must be present, got {sorted(present)}")
     rng = np.random.default_rng(seed)
     train, test = [], []
     for label in LABELS:
         members = [iv for iv in intervals if iv.label == label]
+        if not members:
+            raise InputError(f"both classes must be present, got no {label!r} intervals")
         if unit == "file":
             keys = sorted({iv.source_id for iv in members})
             if len(keys) < 2:
-                raise InputError(
-                    f"class {label!r} has a single source file; file-level "
-                    "splitting needs >= 2 (try unit='interval')"
-                )
+                raise InputError(f"class {label!r} has a single source file; file-level "
+                                 "splitting needs >= 2 (try unit='interval')")
+            drawn = dict(zip(keys, _drawn(rng, len(keys), frac).tolist()))
+            picks = [drawn[iv.source_id] for iv in members]
         else:
-            keys = list(range(len(members)))
-        n_tr = min(max(round(frac * len(keys)), 1), len(keys) - 1)
-        perm = rng.permutation(len(keys))
-        chosen = {keys[i] for i in perm[:n_tr]}
-        if unit == "file":
-            train.extend(iv for iv in members if iv.source_id in chosen)
-            test.extend(iv for iv in members if iv.source_id not in chosen)
-        else:
-            train.extend(members[i] for i in sorted(chosen))
-            test.extend(members[i] for i in sorted(set(keys) - chosen))
+            picks = _drawn(rng, len(members), frac).tolist()
+        train.extend(iv for iv, pick in zip(members, picks) if pick)
+        test.extend(iv for iv, pick in zip(members, picks) if not pick)
     return train, test
 
 
 def grid_search(train, grid=DEFAULT_K_GRID, seed=0):
     """Pick K from the grid by macro-F on a stratified 80:20 split of the
-    training data at interval granularity (ties to the smaller K), then refit
-    on all of it.  Infeasible grid entries are skipped with a warning."""
+    training rows (ties to the smaller K), then refit on all of them.
+    Infeasible grid entries are skipped with a warning.  train is labelled
+    Rows or a list of labelled FeatureVectors."""
     grid = list(grid)
     if not grid:
         raise FitError("empty K grid")
-    _check_k(grid)
-    _, data = _collect(train)
-    d = next(iter(data.values())).shape[1]
-    inner_train, inner_val = stratified_split(train, 0.8, seed, unit="interval")
-    inner_counts = {
-        lab: sum(1 for f in inner_train if f.label == lab) for lab in LABELS
-    }
+    check_counts("K", grid)
+    rows = train if isinstance(train, Rows) else as_rows(train)
+    if rows.y is None:
+        raise InputError("training rows must be labeled")
+    d = rows.X.shape[1]
+    # drawn as stratified_split draws intervals at interval granularity
+    rng = np.random.default_rng(seed)
+    members = [np.flatnonzero(rows.y == c) for c in range(len(LABELS))]
+    drawn = [_drawn(rng, m.size, 0.8) for m in members]
+    inner_train = rows.take(np.concatenate([m[mask] for m, mask in zip(members, drawn)]))
+    inner_val = rows.take(np.concatenate([m[~mask] for m, mask in zip(members, drawn)]))
+    inner_counts = np.bincount(inner_train.y, minlength=len(LABELS))
     best_k, best_f, skipped, validation = None, -1.0, [], {}
     for K in sorted(set(grid)):
-        if any(inner_counts[lab] < K * d for lab in LABELS):
+        if (inner_counts < K * d).any():
             skipped.append(K)
             continue
         model = fit_gmm(inner_train, K, seed)
-        pred = [s.decision for s in score(model, inner_val)]
-        fval = f_score(confusion_matrix([f.label for f in inner_val], pred))
+        fval = f_score(confusion_matrix(inner_val.y, score(model, inner_val).decision))
         validation[K] = fval
         if fval > best_f:
             best_k, best_f = K, fval
@@ -365,21 +398,18 @@ def grid_search(train, grid=DEFAULT_K_GRID, seed=0):
         )
     if best_k is None:
         raise FitError(f"no feasible K in grid {grid} for {d}-dim features")
-    model = fit_gmm(train, best_k, seed)
+    model = fit_gmm(rows, best_k, seed)
     model.train_meta.update(
         {"k_grid": grid, "chosen_k": best_k, "validation_f": validation, "skipped": skipped}
     )
     return model
 
 
-def _rows(model, fs):
-    """Check every vector against the model, then stack them as (n, d)."""
-    for f in fs:
-        if f.kind != model.feature_kind:
-            raise InputError(f"model expects {model.feature_kind}, got {f.kind}")
-        if f.values.size != model.dim:
-            raise InputError(f"model expects dim {model.dim}, got {f.values.size}")
-    return np.stack([f.values for f in fs])
+def _check_rows(model, rows):
+    if rows.kind != model.feature_kind:
+        raise InputError(f"model expects {model.feature_kind}, got {rows.kind}")
+    if rows.X.shape[1] != model.dim:
+        raise InputError(f"model expects dim {model.dim}, got {rows.X.shape[1]}")
 
 
 def _class_log_liks(model, X):
@@ -402,67 +432,39 @@ def _class_log_liks(model, X):
     return dict(zip(LABELS, ll))
 
 
-def _class_scores(speech, music, margin):
-    """ClassScores from (n,) arrays; exact ties go to speech."""
-    return [
-        ClassScore(
-            log_lik_speech=s,
-            log_lik_music=m,
-            decision="speech" if g >= 0 else "music",
-            margin=g,
-        )
-        for s, m, g in zip(speech.tolist(), music.tolist(), margin.tolist())
-    ]
-
-
-def _is_list(f):
-    return isinstance(f, (list, tuple))
-
-
 def score(model, f):
-    """Bayes decision on one feature vector, or on each vector of a list
-    (returning a list); the rows are stacked and scored in one pass."""
-    fs = f if _is_list(f) else [f]
-    if not fs:
-        return []
-    ll = _class_log_liks(model, _rows(model, fs))
+    """Bayes decision on every row of a Rows, as RowScores, or on one
+    FeatureVector, as a ClassScore; one pass over all the rows."""
+    rows = f if isinstance(f, Rows) else Rows(f.kind, f.values[None])
+    _check_rows(model, rows)
+    ll = _class_log_liks(model, rows.X)
     post = {lab: ll[lab] + model.classes[lab].log_prior for lab in LABELS}
-    scores = _class_scores(ll["speech"], ll["music"], post["speech"] - post["music"])
-    return scores if _is_list(f) else scores[0]
+    scores = RowScores(ll["speech"], ll["music"], post["speech"] - post["music"])
+    if rows is f:
+        return scores
+    speech, music, margin = (float(a[0]) for a in (ll["speech"], ll["music"], scores.margin))
+    return ClassScore(speech, music, LABELS[scores.decision[0]], margin)
 
 
-def late_fuse_score(models, fs):
+def late_fuse_score(models, rows):
     """Combine per-feature models by a dimension-normalized sum of class
     scores (log-likelihood plus log prior, divided by that model's feature
-    dimension so no single feature dominates).  fs maps each kind to one
-    vector, or each kind to a list of vectors (row i of every list from the
-    same interval), in which case a list of scores is returned."""
-    if sorted(models) != sorted(BASE_KINDS) or sorted(fs) != sorted(BASE_KINDS):
+    dimension so no single feature dominates).  rows maps each kind to its
+    Rows, row i of every kind from the same interval; returns RowScores."""
+    if sorted(models) != sorted(BASE_KINDS) or sorted(rows) != sorted(BASE_KINDS):
         raise InputError(f"late fusion needs models/features for kinds {BASE_KINDS}")
-    forms = {_is_list(fs[k]) for k in BASE_KINDS}
-    if len(forms) != 1:
-        raise InputError("late fusion needs one vector per kind or one list per kind")
-    as_list = forms.pop()
-    rows = {k: fs[k] if as_list else [fs[k]] for k in BASE_KINDS}
-    lengths = {len(rows[k]) for k in BASE_KINDS}
+    lengths = {rows[k].X.shape[0] for k in BASE_KINDS}
     if len(lengths) != 1:
-        raise InputError(f"late fusion lists differ in length: {sorted(lengths)}")
-    n = lengths.pop()
-    for i in range(n):
-        prov = {(rows[k][i].source_id, rows[k][i].interval_index) for k in BASE_KINDS}
-        if len(prov) != 1:
-            raise InputError(f"provenance mismatch in late fusion: {sorted(prov)}")
-    if n == 0:
-        return []
-    X = {k: _rows(models[k], rows[k]) for k in BASE_KINDS}
+        raise InputError(f"late fusion rows differ in length: {sorted(lengths)}")
+    for kind in BASE_KINDS:
+        _check_rows(models[kind], rows[kind])
     fused = {lab: 0.0 for lab in LABELS}
     for kind in BASE_KINDS:
         model = models[kind]
-        ll = _class_log_liks(model, X[kind])
+        ll = _class_log_liks(model, rows[kind].X)
         for lab in LABELS:
             fused[lab] += (ll[lab] + model.classes[lab].log_prior) / model.dim
-    scores = _class_scores(fused["speech"], fused["music"], fused["speech"] - fused["music"])
-    return scores if as_list else scores[0]
+    return RowScores(fused["speech"], fused["music"], fused["speech"] - fused["music"])
 
 
 # ---------------------------------------------------------------------------

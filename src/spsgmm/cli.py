@@ -12,7 +12,7 @@ import sys
 
 from . import audio_io, pipeline
 from ._util import atomic_write_text
-from .classifier import grid_search, load_model, save_model, score
+from .classifier import LABELS, as_rows, grid_search, load_model, save_model, score
 from .errors import ConfigError, DecodeError, FitError, InputError, SpsgmmError
 from .evaluate import (
     EVAL_KINDS,
@@ -159,12 +159,12 @@ def _note(msg):
     print(msg, file=sys.stderr)
 
 
-def _extract(intervals, args, kinds):
-    """{kind: vectors of the intervals}, noting any peakless frames."""
+def _extract(intervals, args):
+    """The feature cache of the intervals, noting any peakless frames."""
     cache, diag = pipeline.extract_corpus(intervals, **_pipeline_kwargs(args))
     if diag["peakless_frames"]:
         _note(f"diagnostics: {diag['peakless_frames']} peakless frames")
-    return {kind: pipeline.vectors_of(cache, intervals, kind) for kind in kinds}
+    return cache
 
 
 def cmd_extract(args):
@@ -173,9 +173,10 @@ def cmd_extract(args):
     kinds = KINDS if args.feature == "all" else [_FEATURE_FLAG[args.feature]]
     if "late_fused" in kinds:
         raise InputError("late-fused is a scoring scheme, not an extractable vector")
-    by_kind = _extract(intervals, args, kinds)
+    cache = _extract(intervals, args)
     base, ext = os.path.splitext(args.out)
-    for kind, vectors in by_kind.items():
+    for kind in kinds:
+        vectors = pipeline.vectors_of(cache, intervals, kind)
         out = args.out if len(kinds) == 1 else f"{base}_{kind}{ext or '.csv'}"
         atomic_write_text(out, "\n".join(feature_csv_lines(vectors)) + "\n")
         print(f"wrote {out} ({len(vectors)} rows)")
@@ -190,8 +191,8 @@ def cmd_train(args):
     if report.skipped:
         _note(report.render())
     kind = _FEATURE_FLAG[args.feature]
-    vectors = _extract(intervals, args, [kind])[kind]
-    model = grid_search(vectors, _parse_grid(args.k_grid), args.seed)
+    rows = as_rows(pipeline.vectors_of(_extract(intervals, args), intervals, kind))
+    model = grid_search(rows, _parse_grid(args.k_grid), args.seed)
     save_model(model, args.out)
     meta = model.train_meta
     print(f"wrote {args.out} (feature {kind}, K={meta['chosen_k']}, "
@@ -205,13 +206,12 @@ def cmd_predict(args):
     if model.feature_kind not in KINDS:
         raise InputError(f"model feature kind {model.feature_kind!r} not extractable")
     intervals = _load_intervals(args.input, args.interval_ms / 1000.0)
-    vectors = _extract(intervals, args, [model.feature_kind])[model.feature_kind]
+    vectors = pipeline.vectors_of(_extract(intervals, args), intervals, model.feature_kind)
+    sc = score(model, as_rows(vectors))
     lines = ["source_id,interval_index,decision,margin,log_lik_speech,log_lik_music"]
-    for iv, sc in zip(intervals, score(model, vectors)):
-        lines.append(
-            f"{iv.source_id},{iv.index},{sc.decision},{float(sc.margin)!r},"
-            f"{float(sc.log_lik_speech)!r},{float(sc.log_lik_music)!r}"
-        )
+    columns = (sc.decision, sc.margin, sc.log_lik_speech, sc.log_lik_music)
+    for iv, code, g, s, m in zip(intervals, *(a.tolist() for a in columns)):
+        lines.append(f"{iv.source_id},{iv.index},{LABELS[code]},{g!r},{s!r},{m!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
         atomic_write_text(args.out, text)

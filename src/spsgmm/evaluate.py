@@ -5,7 +5,9 @@ Splits default to file granularity so intervals of one recording never land
 on both sides (interval granularity is available for comparability, but it
 leaks same-recording information and inflates scores).  All randomness flows
 from one master seed; each trial derives its own seed, so trials could be
-run in any order without changing the result.
+run in any order without changing the result.  Each experiment stacks each
+kind it trains once, as Rows in interval order; a trial selects rows by
+position, so the kinds of late fusion line up by construction.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +17,8 @@ import numpy as np
 from .classifier import (
     DEFAULT_K_GRID,
     LABELS,
+    as_rows,
+    check_counts,
     confusion_matrix,
     f_score,
     grid_search,
@@ -39,8 +43,7 @@ class TrialConfig:
     def __post_init__(self):
         if not 0.0 < self.train_frac < 1.0:
             raise InputError(f"train_frac must be in (0, 1), got {self.train_frac}")
-        if self.n_trials < 1:
-            raise InputError(f"n_trials must be >= 1, got {self.n_trials}")
+        check_counts("n_trials", [self.n_trials])
         if self.split_unit not in ("file", "interval"):
             raise InputError(f"split_unit must be 'file' or 'interval', got {self.split_unit!r}")
 
@@ -67,24 +70,20 @@ def _trial_seed(master, t):
     return master * 1_000_003 + t
 
 
-def _trained_kinds(kind):
-    return BASE_KINDS if kind == "late_fused" else (kind,)
-
-
-def _run_trial(intervals, cache, kind, cfg, t, k_grid):
+def _run_trial(intervals, rows, kind, cfg, t, k_grid):
+    """(TrialResult, models) of trial t; rows maps kinds to interval-order Rows."""
     tseed = _trial_seed(cfg.seed, t)
     train_iv, test_iv = stratified_split(intervals, cfg.train_frac, tseed, cfg.split_unit)
-    kinds = _trained_kinds(kind)
-    models = {
-        k: grid_search(vectors_of(cache, train_iv, k), k_grid, tseed) for k in kinds
-    }
-    test = {k: vectors_of(cache, test_iv, k) for k in kinds}
+    at = {id(iv): i for i, iv in enumerate(intervals)}
+    train, test = (np.array([at[id(iv)] for iv in part]) for part in (train_iv, test_iv))
+    models = {k: grid_search(r.take(train), k_grid, tseed) for k, r in rows.items()}
+    tested = {k: r.take(test) for k, r in rows.items()}
     if kind == "late_fused":
-        scores = late_fuse_score(models, test)
+        scores = late_fuse_score(models, tested)
     else:
-        scores = score(models[kind], test[kind])
-    chosen = "-".join(str(models[k].train_meta["chosen_k"]) for k in kinds)
-    cm = confusion_matrix([iv.label for iv in test_iv], [s.decision for s in scores])
+        scores = score(models[kind], tested[kind])
+    chosen = "-".join(str(m.train_meta["chosen_k"]) for m in models.values())
+    cm = confusion_matrix(next(iter(tested.values())).y, scores.decision)
     return TrialResult(trial=t, chosen_k=chosen, f=f_score(cm), confusion=cm), models
 
 
@@ -114,24 +113,19 @@ def run_experiment(
         feature_cache, diagnostics = extract_corpus(
             intervals, frame_ms=frame_ms, hop_ms=hop_ms, window=window, p=p
         )
-    for kind in _trained_kinds(feature_kind):
-        want = feature_dim(kind, p)
-        for f in vectors_of(feature_cache, intervals, kind):
-            if f.values.size != want:
-                raise InputError(
-                    f"feature cache holds {kind} vectors of size {f.values.size}, "
-                    f"expected {want} at p = {p}"
-                )
+    kinds = BASE_KINDS if feature_kind == "late_fused" else (feature_kind,)
+    rows = {k: as_rows(vectors_of(feature_cache, intervals, k)) for k in kinds}
+    for kind, r in rows.items():
+        if r.X.shape[1] != feature_dim(kind, p):
+            raise InputError(f"feature cache holds {kind} vectors of size {r.X.shape[1]}, "
+                             f"expected {feature_dim(kind, p)} at p = {p}")
     trials = [
-        _run_trial(intervals, feature_cache, feature_kind, cfg, t, k_grid)[0]
+        _run_trial(intervals, rows, feature_kind, cfg, t, k_grid)[0]
         for t in range(cfg.n_trials)
     ]
     fs = [tr.f for tr in trials]
     mean_f = sum(fs) / len(fs)
     var_f = sum((x - mean_f) ** 2 for x in fs) / len(fs)
-    n_by_label = {
-        lab: sum(1 for iv in intervals if iv.label == lab) for lab in LABELS
-    }
     config = {
         "feature": feature_kind,
         "trials": cfg.n_trials,
@@ -144,7 +138,7 @@ def run_experiment(
         "window": window,
         "k_grid": list(k_grid),
         "sample_rate": rates.pop(),
-        "n_intervals": n_by_label,
+        "n_intervals": dict(zip(LABELS, np.bincount(rows[kinds[0]].y, minlength=2).tolist())),
     }
     return EvalReport(
         feature_kind=feature_kind,

@@ -1,5 +1,6 @@
 """Feature extraction, the one module that knows the stage order and the
-cache layout: interval -> frames -> spectra -> peak matrix -> features."""
+cache layout: interval -> frames -> spectra -> peak matrix -> features.
+`vectors_of` reads one kind back, for `classifier.as_rows` to stack."""
 
 from .errors import ConfigError
 from .sps_core import build_peak_matrix

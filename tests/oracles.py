@@ -4,9 +4,11 @@ Everything in this file is a deliberately naive, literal transcription of the
 defining formulas, written with plain Python numbers and loops.  Nothing here
 imports from spsgmm and nothing uses numpy, so agreement between these
 references and the fast implementations is meaningful evidence rather than a
-tautology.  The one exception is the last section: the per-component mixture
-loops are numpy on purpose, because there the reference is a summation order,
-not a formula.
+tautology.  The exceptions are the last two sections: the per-component
+mixture loops are numpy on purpose, because there the reference is a
+summation order, not a formula, and the list-based grid search is the
+classifier's earlier code path, which the array path must reproduce bit for
+bit.
 
 The row statistics are exact: lagged sums, variances and centroids are formed
 from Python integers and ``Fraction``, and rounded to float once at the end.
@@ -282,3 +284,120 @@ def fit_mixture_loop(X, K, rng, log_prior, max_iter=200, tol=1e-6):
             mix.vars[k] = np.maximum(var, floor)
         mix.weights /= mix.weights.sum()
     return mix, trace
+
+
+# ---------------------------------------------------------------------------
+# grid search over lists of labelled vectors
+#
+# A literal copy of the classifier's grid search as it ran before it took
+# (n, d) rows: every fit validates the vector list and stacks it per class,
+# the inner 80:20 split moves vectors, and the confusion matrix is counted
+# vector by vector.  The EM kernel is passed in (the package's
+# _fit_mixtures), so a comparison covers everything around it; validation
+# scores come from log_densities_loop and the metric from macro_f.  Vectors
+# are anything with .kind, .values and .label.
+
+LABELS = ("speech", "music")
+
+
+def collect_list(train):
+    """(kind, {label: (n, d) array}) of a labelled vector list."""
+    if not train:
+        raise ValueError("empty training set")
+    kinds = {f.kind for f in train}
+    if len(kinds) != 1:
+        raise ValueError(f"mixed feature kinds in training set: {sorted(kinds)}")
+    dims = {f.values.size for f in train}
+    if len(dims) != 1:
+        raise ValueError(f"mixed feature dimensions in training set: {sorted(dims)}")
+    by_label = {}
+    for f in train:
+        if f.label not in LABELS:
+            raise ValueError(f"unlabeled or unknown-label vector: {f.label!r}")
+        by_label.setdefault(f.label, []).append(f.values)
+    for label in LABELS:
+        if label not in by_label:
+            raise ValueError(f"class {label!r} has no training vectors")
+    return kinds.pop(), {lab: np.stack(v) for lab, v in by_label.items()}
+
+
+def split_list(items, frac, seed):
+    """The protocol's stratified split at interval granularity, on a list."""
+    rng = np.random.default_rng(seed)
+    train, test = [], []
+    for label in LABELS:
+        members = [f for f in items if f.label == label]
+        keys = list(range(len(members)))
+        n_tr = min(max(round(frac * len(keys)), 1), len(keys) - 1)
+        perm = rng.permutation(len(keys))
+        chosen = {keys[i] for i in perm[:n_tr]}
+        train.extend(members[i] for i in sorted(chosen))
+        test.extend(members[i] for i in sorted(set(keys) - chosen))
+    return train, test
+
+
+def fit_gmm_list(train, K, seed, fit_mixtures):
+    """A model namespace with the fields model_to_text reads."""
+    kind, data = collect_list(train)
+    d = next(iter(data.values())).shape[1]
+    for label in LABELS:
+        if data[label].shape[0] < K * d:
+            raise ValueError(f"class {label!r} has too few vectors for K={K}")
+    pooled = np.concatenate([data[lab] for lab in LABELS])
+    std = SimpleNamespace(mean=pooled.mean(axis=0), std=np.maximum(pooled.std(axis=0), 1e-8))
+    rng = np.random.default_rng(seed)
+    fits = fit_mixtures([(data[lab] - std.mean) / std.std for lab in LABELS], K, rng)
+    classes = {
+        lab: SimpleNamespace(
+            weights=w, means=m, vars=v, log_prior=math.log(data[lab].shape[0] / pooled.shape[0])
+        )
+        for lab, (w, m, v, _) in zip(LABELS, fits)
+    }
+    trace = {lab: fit[3] for lab, fit in zip(LABELS, fits)}
+    return SimpleNamespace(
+        feature_kind=kind,
+        dim=d,
+        standardizer=std,
+        classes=classes,
+        train_meta={"seed": seed, "k_grid": [K], "chosen_k": K, "em_trace": trace},
+    )
+
+
+def decisions_list(model, vectors):
+    """Bayes decision per vector, ties to speech."""
+    x = (np.stack([f.values for f in vectors]) - model.standardizer.mean) / model.standardizer.std
+    post = {
+        lab: _logsumexp(log_densities_loop(x, mix) + np.log(mix.weights), axis=1) + mix.log_prior
+        for lab, mix in model.classes.items()
+    }
+    return ["speech" if g >= 0 else "music" for g in (post["speech"] - post["music"]).tolist()]
+
+
+def grid_search_list(train, grid, seed, fit_mixtures):
+    """The grid-searched model namespace, its train_meta holding k_grid,
+    chosen_k, validation_f, skipped and the refit's em_trace; ValueError
+    when no K in the grid is feasible."""
+    grid = list(grid)
+    _, data = collect_list(train)
+    d = next(iter(data.values())).shape[1]
+    inner_train, inner_val = split_list(train, 0.8, seed)
+    inner_counts = {lab: sum(1 for f in inner_train if f.label == lab) for lab in LABELS}
+    best_k, best_f, skipped, validation = None, -1.0, [], {}
+    for K in sorted(set(grid)):
+        if any(inner_counts[lab] < K * d for lab in LABELS):
+            skipped.append(K)
+            continue
+        model = fit_gmm_list(inner_train, K, seed, fit_mixtures)
+        cm = {t: {} for t in LABELS}
+        for f, pred in zip(inner_val, decisions_list(model, inner_val), strict=True):
+            cm[f.label][pred] = cm[f.label].get(pred, 0) + 1
+        validation[K] = macro_f(cm)
+        if validation[K] > best_f:
+            best_k, best_f = K, validation[K]
+    if best_k is None:
+        raise ValueError(f"no feasible K in grid {grid}")
+    model = fit_gmm_list(train, best_k, seed, fit_mixtures)
+    model.train_meta.update(
+        {"k_grid": grid, "chosen_k": best_k, "validation_f": validation, "skipped": skipped}
+    )
+    return model

@@ -2,7 +2,9 @@
 decision rule, and the plain-text model format."""
 
 import math
+import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -17,9 +19,12 @@ from spsgmm.classifier import (
     LABELS,
     GmmModel,
     Mixture,
+    Rows,
+    RowScores,
     Standardizer,
     _estep,
     _groups,
+    as_rows,
     fit_gmm,
     grid_search,
     late_fuse_score,
@@ -168,6 +173,27 @@ class TestFitGmm:
         with pytest.raises(InputError, match=f"K must be >= 1, got {K}"):
             fit_gmm(blobs(7, 5), K=K)
 
+    @pytest.mark.parametrize("K", [1.5, True, 2.0])
+    def test_non_integral_k_is_error_before_any_fit(self, K, monkeypatch):
+        no_fitting(monkeypatch)
+        with pytest.raises(InputError, match=re.escape(f"K must be an integer, got {K!r}")):
+            fit_gmm(blobs(7, 20), K=K)
+
+    def test_numpy_integer_k_is_accepted(self):
+        train = blobs(7, 20)
+        assert model_to_text(fit_gmm(train, np.int64(2))) == model_to_text(fit_gmm(train, 2))
+
+    def test_rows_need_label_codes_of_both_classes(self, monkeypatch):
+        no_fitting(monkeypatch)
+        rows = as_rows(blobs(7, 20))
+        for y in (None, np.where(rows.y == 1, 2, 0)):
+            with pytest.raises(InputError, match="must be labeled"):
+                fit_gmm(Rows("sps_p", rows.X, y), K=1)
+        with pytest.raises(InputError, match="must be labeled"):
+            grid_search(Rows("sps_p", rows.X), grid=[1])
+        with pytest.raises(FitError, match="'music' has 0 vectors"):
+            fit_gmm(Rows("sps_p", rows.X, np.zeros_like(rows.y)), K=1)
+
     def test_too_few_vectors_for_k(self):
         train = blobs(7, 5, d=4)  # needs K*d = 12 per class
         with pytest.raises(FitError, match="needs at least"):
@@ -188,6 +214,16 @@ class TestFitGmm:
         ]
         with pytest.raises(InputError, match="unlabeled"):
             fit_gmm(bad_label, K=1)
+
+
+class TestAsRows:
+    def test_labels_become_codes_or_none(self):
+        rows = as_rows(fvs([[0.0], [1.0]], "music") + fvs([[2.0]], "speech"))
+        assert rows.kind == "sps_p" and rows.X.shape == (3, 1)
+        np.testing.assert_array_equal(rows.y, [1, 1, 0])
+        assert as_rows([FeatureVector(kind="sps_p", values=np.zeros(2))]).y is None
+        with pytest.raises(InputError, match="unknown-label"):
+            as_rows(fvs([[0.0]], "cat"))
 
 
 @st.composite
@@ -214,6 +250,15 @@ def em_cases(draw):
     train = fvs(X["speech"], "speech") + fvs(X["music"], "music")
     nd = n["speech"] * d
     return train, K, seed, max(g * nd, nd // 2)
+
+
+def no_fitting(monkeypatch):
+    """Make any EM run fail the test."""
+
+    def boom(*args):
+        raise AssertionError("fit before K was checked")
+
+    monkeypatch.setattr(classifier, "_fit_mixtures", boom)
 
 
 def oracle_fit(train, K, seed):
@@ -250,6 +295,26 @@ def oracle_scores(model, fs):
     ]
 
 
+@st.composite
+def grid_cases(draw):
+    """(train, grid, seed): classes of mostly unequal sizes, in 1 to 3
+    dimensions, and grids of a small K plus up to three more, the larger ones
+    infeasible on the inner split.  A class gets 2 to 40 vectors plus 0, 1 or
+    2 times K * d for the grid's first K, so that K is often feasible and
+    sometimes, with every other entry, not."""
+    d = draw(st.integers(1, 3))
+    grid = [draw(st.sampled_from([1, 2, 3]))]
+    grid += draw(st.lists(st.sampled_from([1, 2, 4, 8, 16, 32]), max_size=3))
+    n = {lab: draw(st.integers(2, 40)) + draw(st.integers(0, 2)) * grid[0] * d for lab in LABELS}
+    seed = draw(st.integers(0, 1000))
+    rng = np.random.default_rng(seed)
+    X = {
+        lab: rng.normal(0, 1, (n[lab], d)) + rng.integers(0, 3, (n[lab], 1)) * shift
+        for lab, shift in (("speech", 1.0), ("music", -0.5))
+    }
+    return fvs(X["speech"], "speech") + fvs(X["music"], "music"), grid, seed
+
+
 class TestVectorizedEm:
     """EM and scoring handle both classes and a group of components per numpy
     call and must give every bit the per-component loop gives."""
@@ -261,11 +326,11 @@ class TestVectorizedEm:
         want = oracle_fit(train, K, seed)
         with mock.patch.object(classifier, "BUDGET", budget):
             got = fit_gmm(train, K, seed)
-            got_scores = score(got, train)
+            got_scores = score(got, as_rows(train))
         assert model_to_text(got) == model_to_text(want)
         for label in LABELS:
             assert got.train_meta["em_trace"][label] == want.train_meta["em_trace"][label]
-        assert [fields(s) for s in got_scores] == oracle_scores(want, train)
+        assert row_fields(got_scores) == oracle_scores(want, train)
 
     @pytest.mark.parametrize(
         "n_speech, n_music, budget, stacks",
@@ -299,7 +364,7 @@ class TestVectorizedEm:
         model = fit_gmm(train, 1, seed=2)
         model.classes["music"] = fit_gmm(train, 3, seed=2).classes["music"]
         test = blobs(22, 10, d=3, sep=3.0)
-        assert [fields(s) for s in score(model, test)] == oracle_scores(model, test)
+        assert row_fields(score(model, as_rows(test))) == oracle_scores(model, test)
 
 
 class TestMemoryBound:
@@ -337,7 +402,7 @@ class TestMemoryBound:
             standardizer=Standardizer(mean=np.zeros(self.d), std=np.ones(self.d)),
             classes={"speech": mix(), "music": mix()},
         )
-        rows = fvs(rng.normal(0, 1, (self.n, self.d)), "speech")
+        rows = Rows("sps_p", rng.normal(0, 1, (self.n, self.d)))
         assert self._peak(lambda: score(model, rows)) <= self._limit()
 
     def test_fit(self):
@@ -428,15 +493,50 @@ class TestGridSearch:
         with pytest.raises(InputError, match="got -2, 0"):
             grid_search(blobs(14, 10), grid=[2, -2, 0], seed=0)
 
+    def test_non_integral_k_is_error_before_any_fit(self, monkeypatch):
+        no_fitting(monkeypatch)
+        with pytest.raises(InputError, match=r"K must be an integer, got 2\.0"):
+            grid_search(blobs(14, 10), grid=[1, 2.0], seed=0)
+        with pytest.raises(InputError, match="K must be an integer, got True"):
+            grid_search(blobs(14, 10), grid=[True], seed=0)
+
+    def test_list_and_rows_give_the_same_model(self):
+        train = blobs(15, 40, d=3, sep=2.0)
+        a = grid_search(train, grid=[1, 2, 4], seed=5)
+        b = grid_search(as_rows(train), grid=[1, 2, 4], seed=5)
+        assert model_to_text(a) == model_to_text(b)
+        for key in ("em_trace", "validation_f", "chosen_k", "skipped"):
+            assert a.train_meta[key] == b.train_meta[key]
+
+    @settings(max_examples=60)
+    @given(case=grid_cases())
+    def test_matches_the_list_path(self, case):
+        """The array path reproduces the list-based grid search bit for bit:
+        the inner split, the per-fit stacking and the validation F."""
+        train, grid, seed = case
+        try:
+            want = oracles.grid_search_list(train, grid, seed, classifier._fit_mixtures)
+        except ValueError:
+            want = None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            if want is None:
+                with pytest.raises(FitError, match="no feasible K"):
+                    grid_search(as_rows(train), grid, seed)
+                return
+            got = grid_search(as_rows(train), grid, seed)
+        assert model_to_text(got) == model_to_text(want)
+        for key in ("em_trace", "validation_f", "chosen_k", "skipped"):
+            assert got.train_meta[key] == want.train_meta[key]
+
     @pytest.mark.parametrize("K", [1, 2, 4])
     def test_validation_uses_the_protocol_split_and_metric(self, K):
         pooled = blobs(43, 50, d=2, sep=1.5)
         train = [f for pair in zip(pooled[:50], pooled[50:]) for f in pair]
         inner_train, inner_val = evaluate.stratified_split(train, 0.8, 3, "interval")
-        pred = [s.decision for s in score(fit_gmm(inner_train, K, 3), inner_val)]
-        want = evaluate.f_score(
-            evaluate.confusion_matrix([f.label for f in inner_val], pred)
-        )
+        inner_val = as_rows(inner_val)
+        pred = score(fit_gmm(inner_train, K, 3), inner_val).decision
+        want = evaluate.f_score(evaluate.confusion_matrix(inner_val.y, pred))
         assert grid_search(train, [K], 3).train_meta["validation_f"][K] == want
 
 
@@ -463,11 +563,18 @@ class TestScore:
         assert toward_music.decision == "music" and toward_music.margin < 0
 
     def test_empty_list_returns_empty(self):
-        assert score(flat_model(), []) == []
+        scores = score(flat_model(), Rows("sps_p", np.empty((0, 2))))
+        assert scores.margin.shape == scores.decision.shape == (0,)
 
 
 def fields(s):
     return (s.margin, s.log_lik_speech, s.log_lik_music, s.decision)
+
+
+def row_fields(scores):
+    """fields() of each row of RowScores, decisions as label names."""
+    columns = (scores.margin, scores.log_lik_speech, scores.log_lik_music, scores.decision)
+    return [(g, s, m, LABELS[c]) for g, s, m, c in zip(*(a.tolist() for a in columns))]
 
 
 def no_scoring(monkeypatch):
@@ -485,22 +592,27 @@ class TestBatchScore:
         train = blobs(30 + K, 80, d=5, sep=2.0)
         model = fit_gmm(train, K=K, seed=K)
         test = blobs(60 + K, 40, d=5, sep=2.0)
-        batch = score(model, test)
-        assert isinstance(batch, list) and len(batch) == len(test)
-        for f, b in zip(test, batch):
-            assert fields(b) == fields(score(model, f))
-        assert {b.decision for b in batch} == {"speech", "music"}
+        batch = score(model, as_rows(test))
+        assert isinstance(batch, RowScores) and batch.margin.shape == (len(test),)
+        rows = row_fields(batch)
+        for f, row in zip(test, rows):
+            assert fields(score(model, f)) == row
+        assert {row[3] for row in rows} == {"speech", "music"}
 
     def test_mismatch_anywhere_raises_before_scoring(self, monkeypatch):
         model = flat_model(kind="sps_p", d=2)
         good = fvs(np.zeros((5, 2)), "speech")
         no_scoring(monkeypatch)
         wrong_kind = good[:3] + fvs([[0.0, 0.0]], "music", kind="sps_zcr") + good[3:]
+        with pytest.raises(InputError, match="mixed feature kinds"):
+            as_rows(wrong_kind)
         with pytest.raises(InputError, match="model expects sps_p"):
-            score(model, wrong_kind)
+            score(model, Rows("sps_zcr", np.zeros((5, 2))))
         wrong_dim = good + [FeatureVector(kind="sps_p", values=np.zeros(3))]
+        with pytest.raises(InputError, match="dimensions"):
+            as_rows(wrong_dim)
         with pytest.raises(InputError, match="dim"):
-            score(model, wrong_dim)
+            score(model, Rows("sps_p", np.zeros((5, 3))))
 
 
 class TestLateFusion:
@@ -509,24 +621,14 @@ class TestLateFusion:
         models, feats = {}, {}
         for kind, d in (("sps_p", 2), ("sps_zcr", 2), ("sps_scg", 6)):
             models[kind] = flat_model(kind=kind, d=d, mu_speech=sign, mu_music=-sign)
-            feats[kind] = FeatureVector(
-                kind=kind, values=np.full(d, -1.0), source_id="x", interval_index=4
-            )
+            feats[kind] = Rows(kind, np.full((1, d), -1.0))
         return models, feats
 
     def test_fused_decision(self):
         models, feats = self._models_and_features(winner="speech")
-        assert late_fuse_score(models, feats).decision == "speech"
+        assert row_fields(late_fuse_score(models, feats))[0][3] == "speech"
         models, feats = self._models_and_features(winner="music")
-        assert late_fuse_score(models, feats).decision == "music"
-
-    def test_provenance_mismatch(self):
-        models, feats = self._models_and_features()
-        feats["sps_zcr"] = FeatureVector(
-            kind="sps_zcr", values=np.zeros(2), source_id="other", interval_index=4
-        )
-        with pytest.raises(InputError, match="provenance"):
-            late_fuse_score(models, feats)
+        assert row_fields(late_fuse_score(models, feats))[0][3] == "music"
 
     def test_missing_kind(self):
         models, feats = self._models_and_features()
@@ -542,55 +644,37 @@ class TestLateFusion:
                 for f in blobs(40 + j, 80, d=d, sep=2.0)
             ]
             models[kind] = fit_gmm(train, K=K, seed=j)
-            test[kind] = [
+            test[kind] = as_rows([
                 FeatureVector(kind=kind, values=f.values, source_id="t", interval_index=i)
                 for i, f in enumerate(blobs(50 + j, 30, d=d, sep=2.0))
-            ]
+            ])
         return models, test
 
     @pytest.mark.parametrize("K", [1, 2, 4])
     def test_list_equals_per_row_bit_for_bit(self, K):
         models, test = self._fitted(K)
-        batch = late_fuse_score(models, test)
+        batch = row_fields(late_fuse_score(models, test))
         assert len(batch) == 60
-        for i, b in enumerate(batch):
-            one = late_fuse_score(models, {k: v[i] for k, v in test.items()})
-            assert fields(b) == fields(one)
-        assert {b.decision for b in batch} == {"speech", "music"}
+        for i, row in enumerate(batch):
+            one = late_fuse_score(models, {k: v.take([i]) for k, v in test.items()})
+            assert row_fields(one) == [row]
+        assert {row[3] for row in batch} == {"speech", "music"}
 
     def test_empty_lists_return_empty(self):
-        models, _ = self._fitted(1)
-        assert late_fuse_score(models, {k: [] for k in models}) == []
+        models, test = self._fitted(1)
+        scores = late_fuse_score(models, {k: v.take([]) for k, v in test.items()})
+        assert scores.margin.shape == scores.decision.shape == (0,)
 
     def test_lists_of_different_lengths(self, monkeypatch):
         models, test = self._fitted(1)
-        test["sps_zcr"] = test["sps_zcr"][:-1]
+        test["sps_zcr"] = test["sps_zcr"].take(np.arange(59))
         no_scoring(monkeypatch)
         with pytest.raises(InputError, match="differ in length"):
             late_fuse_score(models, test)
 
-    def test_one_vector_and_lists_mixed(self):
-        models, test = self._fitted(1)
-        test["sps_p"] = test["sps_p"][0]
-        with pytest.raises(InputError, match="one vector per kind or one list"):
-            late_fuse_score(models, test)
-
-    def test_provenance_checked_row_by_row(self, monkeypatch):
-        models, test = self._fitted(1)
-        f = test["sps_scg"][17]
-        test["sps_scg"][17] = FeatureVector(
-            kind=f.kind, values=f.values, source_id="t", interval_index=99
-        )
-        no_scoring(monkeypatch)
-        with pytest.raises(InputError, match="provenance"):
-            late_fuse_score(models, test)
-
     def test_mismatch_anywhere_raises_before_scoring(self, monkeypatch):
         models, test = self._fitted(1)
-        f = test["sps_scg"][-1]
-        test["sps_scg"][-1] = FeatureVector(
-            kind="sps_scg", values=f.values[:-1], source_id="t", interval_index=f.interval_index
-        )
+        test["sps_scg"] = Rows("sps_scg", test["sps_scg"].X[:, :-1])
         no_scoring(monkeypatch)
         with pytest.raises(InputError, match="dim"):
             late_fuse_score(models, test)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spsgmm.audio_io import AudioInterval
-from spsgmm.classifier import model_to_text
+from spsgmm.classifier import as_rows, model_to_text
 from spsgmm.errors import InputError
 from spsgmm.evaluate import (
     TrialConfig,
@@ -21,10 +21,16 @@ from spsgmm.evaluate import (
     summary_csv_lines,
     trials_csv_lines,
 )
-from spsgmm.pipeline import BASE_KINDS
+from spsgmm.pipeline import BASE_KINDS, vectors_of
 from spsgmm.sps_features import FeatureVector
 
 K1 = (1,)
+
+
+def stacked(intervals, cache, kinds):
+    """Each kind's cached vectors as Rows in interval order, as
+    run_experiment stacks them for its trials."""
+    return {k: as_rows(vectors_of(cache, intervals, k)) for k in kinds}
 
 
 def iv(src, idx, label, sr=22050):
@@ -55,15 +61,12 @@ class TestFScore:
 
 class TestConfusionMatrix:
     def test_counts(self):
-        cm = confusion_matrix(
-            ["speech", "speech", "music", "music", "music"],
-            ["speech", "music", "music", "music", "speech"],
-        )
+        cm = confusion_matrix([0, 0, 1, 1, 1], [0, 1, 1, 1, 0])  # label codes
         np.testing.assert_array_equal(cm, [[1, 1], [1, 2]])
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            confusion_matrix(["speech"], ["speech", "music"])
+            confusion_matrix([0], [0, 1])
 
 
 class TestStratifiedSplit:
@@ -134,11 +137,20 @@ class TestTrialConfig:
             (dict(train_frac=1.0), "train_frac"),
             (dict(n_trials=0), "n_trials"),
             (dict(split_unit="minute"), "split_unit"),
+            (dict(n_trials=2.5), "n_trials must be an integer, got 2.5"),
+            (dict(n_trials=True), "n_trials must be an integer, got True"),
         ],
     )
     def test_validation(self, kwargs, match):
         with pytest.raises(InputError, match=match):
             TrialConfig(**kwargs)
+
+    def test_numpy_integer_trials_are_accepted(self, corpus_intervals, feature_cache):
+        rep = run_experiment(
+            corpus_intervals, "sps_zcr", TrialConfig(n_trials=np.int64(2), seed=2),
+            p=3, k_grid=K1, feature_cache=feature_cache[0],
+        )
+        assert len(rep.trials) == 2
 
     def test_rejected_split_unit_is_named(self):
         with pytest.raises(InputError, match="got 'minute'"):
@@ -193,7 +205,8 @@ class TestRunExperiment:
         rep = run_experiment(
             corpus_intervals, "sps_scg", cfg, p=3, k_grid=K1, feature_cache=cache
         )
-        redone, _ = _run_trial(corpus_intervals, cache, "sps_scg", cfg, 2, K1)
+        rows = stacked(corpus_intervals, cache, ["sps_scg"])
+        redone, _ = _run_trial(corpus_intervals, rows, "sps_scg", cfg, 2, K1)
         assert redone.f == rep.trials[2].f
         assert redone.chosen_k == rep.trials[2].chosen_k
         np.testing.assert_array_equal(redone.confusion, rep.trials[2].confusion)
@@ -223,8 +236,10 @@ class TestRunExperiment:
                 for kind, f in cache[key].items()
             }
         for kind, trained in (("sps_scg", ["sps_scg"]), ("late_fused", list(BASE_KINDS))):
-            _, clean = _run_trial(corpus_intervals, cache, kind, cfg, 0, K1)
-            _, dirty = _run_trial(corpus_intervals, poisoned, kind, cfg, 0, K1)
+            clean_rows = stacked(corpus_intervals, cache, trained)
+            dirty_rows = stacked(corpus_intervals, poisoned, trained)
+            _, clean = _run_trial(corpus_intervals, clean_rows, kind, cfg, 0, K1)
+            _, dirty = _run_trial(corpus_intervals, dirty_rows, kind, cfg, 0, K1)
             assert list(clean) == list(dirty) == trained
             for k in trained:
                 assert model_to_text(clean[k]) == model_to_text(dirty[k])
