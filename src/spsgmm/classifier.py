@@ -3,9 +3,11 @@
 Fitting and scoring take `Rows` (a feature kind, an (n, d) table, label
 codes), which `as_rows` stacks from FeatureVectors; `score` also takes one
 vector.  Per class, a diagonal-covariance mixture is fit by EM on z-scored
-features (statistics from the training rows only).  Means are initialized by
-farthest-point seeding from one seeded generator, speech first, every M-step
-floors the variances, and the whole fit is deterministic given the seed.
+features (statistics from the training rows only; a Rows sorts and z-scores
+its classes once, so the fits of one grid search share them).  Means are
+initialized by farthest-point seeding from one seeded generator, speech
+first, every M-step floors the variances, and the whole fit is
+deterministic given the seed.
 
 EM works on a stack of same-shape problems, (B, n, d), a group of components
 per numpy call.  The two classes share one stack when they have the same
@@ -30,6 +32,7 @@ to speech so confusion matrices are reproducible.
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -106,6 +109,19 @@ class Rows:
     def take(self, idx):
         """The rows at the positions idx, in that order."""
         return Rows(self.kind, self.X[idx], None if self.y is None else self.y[idx])
+
+    @cached_property
+    def by_class(self):
+        """(class counts, Standardizer of all rows, each class's z-scored
+        rows), computed on first use and kept, so every K that grid_search
+        fits on one Rows shares them; None unless every code is 0 or 1.
+        The arrays are not copied, so X must not change afterwards."""
+        counts = [] if self.y is None else np.bincount(self.y, minlength=len(LABELS)).tolist()
+        if len(counts) != len(LABELS):
+            return None
+        pooled = self.X[np.argsort(self.y, kind="stable")]  # speech rows, then music
+        std = Standardizer(mean=pooled.mean(axis=0), std=np.maximum(pooled.std(axis=0), 1e-8))
+        return counts, std, (std.apply(pooled[: counts[0]]), std.apply(pooled[counts[0] :]))
 
 
 def as_rows(vectors):
@@ -269,23 +285,18 @@ def fit_gmm(train, K, seed=0):
     train is labelled Rows or a list of labelled FeatureVectors."""
     check_counts("K", [K])
     rows = train if isinstance(train, Rows) else as_rows(train)
-    counts = [] if rows.y is None else np.bincount(rows.y, minlength=len(LABELS)).tolist()
-    if len(counts) != len(LABELS):
+    if rows.by_class is None:
         raise InputError("training rows must be labeled, with codes 0 (speech) and 1 (music)")
+    counts, std, z = rows.by_class
     d = rows.X.shape[1]
     for label, n in zip(LABELS, counts):
         if n < K * d:
             raise FitError(f"class {label!r} has {n} vectors; "
                            f"K={K} with dim {d} needs at least {K * d}")
-    pooled = rows.X[np.argsort(rows.y, kind="stable")]  # speech rows, then music
-    std = Standardizer(
-        mean=pooled.mean(axis=0), std=np.maximum(pooled.std(axis=0), 1e-8)
-    )
-    n_speech, n_total = counts[0], pooled.shape[0]
     rng = np.random.default_rng(seed)
-    fits = _fit_mixtures([std.apply(pooled[:n_speech]), std.apply(pooled[n_speech:])], K, rng)
+    fits = _fit_mixtures(z, K, rng)
     classes = {
-        lab: Mixture(w, m, v, math.log(n / n_total))
+        lab: Mixture(w, m, v, math.log(n / sum(counts)))
         for lab, n, (w, m, v, _) in zip(LABELS, counts, fits)
     }
     trace = {lab: fit[3] for lab, fit in zip(LABELS, fits)}

@@ -132,6 +132,21 @@ def feature_cache(corpus_intervals):
 
 
 # ---------------------------------------------------------------------------
+# late fusion's hand-off table
+
+
+@pytest.fixture(autouse=True)
+def empty_handoff():
+    """Empty evaluate's table of published base models around every test, so
+    a model published while a test had patched the trainer reaches no other."""
+    from spsgmm.evaluate import _HANDOFF
+
+    _HANDOFF.clear()
+    yield
+    _HANDOFF.clear()
+
+
+# ---------------------------------------------------------------------------
 # CLI runner
 
 

@@ -194,6 +194,14 @@ class TestFitGmm:
         with pytest.raises(FitError, match="'music' has 0 vectors"):
             fit_gmm(Rows("sps_p", rows.X, np.zeros_like(rows.y)), K=1)
 
+    def test_fits_on_one_rows_share_its_standardization(self):
+        rows = as_rows(blobs(8, 30))
+        one, two = fit_gmm(rows, K=1, seed=4), fit_gmm(rows, K=2, seed=4)
+        assert one.standardizer is two.standardizer  # sorted and z-scored once
+        fresh = fit_gmm(Rows(rows.kind, rows.X.copy(), rows.y.copy()), K=2, seed=4)
+        assert fresh.standardizer is not two.standardizer
+        assert model_to_text(fresh) == model_to_text(two)
+
     def test_too_few_vectors_for_k(self):
         train = blobs(7, 5, d=4)  # needs K*d = 12 per class
         with pytest.raises(FitError, match="needs at least"):

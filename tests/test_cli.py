@@ -263,6 +263,29 @@ class TestEvaluate:
             "sps_p", "sps_zcr", "sps_scg", "early_fused", "late_fused",
         ]
 
+    def test_late_fused_reusing_base_models_matches_a_fresh_training(
+        self, cli, corpus_dirs, tmp_path
+    ):
+        # --feature all hands each base model on to late fusion; alone,
+        # late-fused trains them itself.  Seed 4 picks K = 2 and 4 in some
+        # trials and scores one below F = 1.
+        def late_fused_lines(feature):
+            out = tmp_path / feature
+            r = cli(
+                "evaluate", corpus_dirs[0], corpus_dirs[1],
+                "--feature", feature, "--p", 2, "--k-grid", "1,2,4",
+                "--trials", 3, "--seed", 4, "--out", out,
+            )
+            assert r.returncode == 0, r.stderr
+            return [
+                [line for line in (out / name).read_text().splitlines() if "late_fused" in line]
+                for name in ("trials.csv", "summary.csv")
+            ]
+
+        reused = late_fused_lines("all")
+        assert [len(lines) for lines in reused] == [3, 1]
+        assert reused == late_fused_lines("late-fused")
+
     def test_infeasible_kind_keeps_the_reports_of_the_others(self, cli, corpus_dirs, tmp_path):
         def run(feature, out):
             return cli(

@@ -6,11 +6,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from spsgmm import evaluate
 from spsgmm.audio_io import AudioInterval
 from spsgmm.classifier import as_rows, model_to_text
 from spsgmm.errors import InputError
 from spsgmm.evaluate import (
     TrialConfig,
+    _HANDOFF,
     _run_trial,
     _trial_seed,
     confusion_matrix,
@@ -285,6 +287,116 @@ class TestRunExperiment:
             run_experiment(
                 [odd, *corpus_intervals[1:]], "sps_p", feature_cache=cache
             )
+
+
+def counted_training(monkeypatch):
+    """The kinds evaluate.grid_search trains from now on, in call order."""
+    trained, real = [], evaluate.grid_search
+
+    def counted(train, *args):
+        trained.append(train.kind)
+        return real(train, *args)
+
+    monkeypatch.setattr(evaluate, "grid_search", counted)
+    return trained
+
+
+def split_of(intervals, cfg, t=0):
+    train, _ = stratified_split(intervals, cfg.train_frac, _trial_seed(cfg.seed, t), cfg.split_unit)
+    return [(x.source_id, x.index) for x in train]
+
+
+class TestLateFusionHandOff:
+    """late_fused takes the models that base-kind runs trained on the same
+    rows, split, K grid and trial seed, and trains the rest."""
+
+    CFG = TrialConfig(n_trials=2, seed=6)
+
+    @staticmethod
+    def run(intervals, cache, kind, cfg=CFG, k_grid=K1):
+        return run_experiment(intervals, kind, cfg, p=3, k_grid=k_grid, feature_cache=cache)
+
+    @pytest.mark.filterwarnings("ignore:grid entries")
+    def test_reuses_the_base_runs_models(self, corpus_intervals, feature_cache, monkeypatch):
+        # seed 10 picks K = 2 for sps_p in one trial and scores F < 1 in the other
+        cache, cfg, grid = feature_cache[0], dataclasses.replace(self.CFG, seed=10), (1, 2)
+        fresh = self.run(corpus_intervals, cache, "late_fused", cfg, grid)
+        assert _HANDOFF == {}  # a late_fused run publishes nothing
+        trained = counted_training(monkeypatch)
+        for kind in BASE_KINDS:
+            self.run(corpus_intervals, cache, kind, cfg, grid)
+        assert trained == [k for k in BASE_KINDS for _ in range(2)]
+        trained.clear()
+        reused = self.run(corpus_intervals, cache, "late_fused", cfg, grid)
+        assert trained == []
+        for a, b in zip(fresh.trials, reused.trials, strict=True):
+            assert (a.chosen_k, a.f) == (b.chosen_k, b.f)
+            np.testing.assert_array_equal(a.confusion, b.confusion)
+        assert (fresh.mean_f, fresh.var_f) == (reused.mean_f, reused.var_f)
+
+    @pytest.mark.parametrize("change", ["seed", "k_grid", "split_unit", "train_frac", "cache"])
+    def test_other_inputs_are_not_reused(self, corpus_intervals, feature_cache, monkeypatch, change):
+        cache = feature_cache[0]
+        cfg, grid, zcr_cache = self.CFG, K1, cache
+        if change == "cache":  # one sps_zcr value of a trial-0 training interval
+            key = split_of(corpus_intervals, cfg)[0]
+            f = cache[key]["sps_zcr"]
+            values = f.values.copy()
+            values[0] += 1e-9
+            zcr_cache = {**cache, key: {**cache[key], "sps_zcr": dataclasses.replace(f, values=values)}}
+        elif change == "k_grid":
+            grid = (1, 1)  # same K, another grid
+        else:
+            other = {"seed": 7, "split_unit": "interval", "train_frac": 0.5}[change]
+            cfg = dataclasses.replace(cfg, **{change: other})
+        for kind in BASE_KINDS:
+            if kind == "sps_zcr":
+                self.run(corpus_intervals, zcr_cache, kind, cfg, grid)
+            else:
+                self.run(corpus_intervals, cache, kind)
+        trained = counted_training(monkeypatch)
+        self.run(corpus_intervals, cache, "late_fused")
+        assert trained == ["sps_zcr"] * self.CFG.n_trials
+
+    def test_another_seed_on_the_same_split_is_not_reused(
+        self, corpus_intervals, feature_cache, monkeypatch
+    ):
+        cache = feature_cache[0]
+        cfg = TrialConfig(n_trials=1, seed=6)
+        want = split_of(corpus_intervals, cfg)
+        seed = next(s for s in range(7, 5000)
+                    if split_of(corpus_intervals, dataclasses.replace(cfg, seed=s)) == want)
+        for kind in BASE_KINDS:
+            self.run(corpus_intervals, cache, kind, dataclasses.replace(cfg, seed=seed))
+        trained = counted_training(monkeypatch)
+        self.run(corpus_intervals, cache, "late_fused", cfg)
+        assert trained == list(BASE_KINDS)
+
+    def test_a_base_run_trains_again(self, corpus_intervals, feature_cache, monkeypatch):
+        cache = feature_cache[0]
+        self.run(corpus_intervals, cache, "sps_scg")
+        trained = counted_training(monkeypatch)
+        self.run(corpus_intervals, cache, "sps_scg")
+        assert trained == ["sps_scg"] * 2
+
+    def test_each_entry_is_handed_over_once(self, corpus_intervals, feature_cache, monkeypatch):
+        cache = feature_cache[0]
+        for kind in BASE_KINDS:
+            self.run(corpus_intervals, cache, kind)
+        assert {k: len(e) for k, e in _HANDOFF.items()} == {k: 2 for k in BASE_KINDS}
+        self.run(corpus_intervals, cache, "late_fused")
+        assert _HANDOFF == {k: {} for k in BASE_KINDS}
+        trained = counted_training(monkeypatch)
+        self.run(corpus_intervals, cache, "late_fused")
+        assert trained == list(BASE_KINDS) * 2
+
+    def test_a_base_run_replaces_its_kinds_entries(self, corpus_intervals, feature_cache):
+        cache = feature_cache[0]
+        self.run(corpus_intervals, cache, "sps_p")
+        later = dataclasses.replace(self.CFG, seed=8)
+        self.run(corpus_intervals, cache, "sps_p", later)
+        assert sorted(key[3] for key in _HANDOFF["sps_p"]) == [_trial_seed(8, t) for t in range(2)]
+        assert list(_HANDOFF) == ["sps_p"]
 
 
 class TestReportFormats:
