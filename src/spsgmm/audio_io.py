@@ -157,8 +157,8 @@ def segment_intervals(sig, interval_s, source_id="", label=None):
     """Cut a signal into consecutive non-overlapping intervals of
     round(interval_s * sample_rate) samples; the trailing remainder is
     dropped.  A signal shorter than one interval is an error."""
-    if interval_s <= 0:
-        raise InputError("interval_s must be positive")
+    if not 0 < interval_s < np.inf:
+        raise InputError(f"interval_s must be finite and positive, got {interval_s}")
     ilen = round(interval_s * sig.sample_rate)
     if ilen == 0:
         raise InputError(

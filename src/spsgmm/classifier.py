@@ -21,9 +21,9 @@ of any model, EM trace or score.  Scoring stacks the two classes by the same
 rule when their component counts agree.
 
 The component count is grid-searched by macro-F on a stratified 80:20 split
-of the training rows, drawn by the evaluation protocol's splitter; that
-splitter and that metric are kept here so that `evaluate` builds on this
-module and not the other way round.
+of the training rows, drawn by the evaluation protocol's splitter with each
+row its own group; that splitter and that metric are kept here so that
+`evaluate` builds on this module and not the other way round.
 
 Decision rule: argmax of class log-likelihood plus log prior; exact ties go
 to speech so confusion matrices are reproducible.
@@ -346,30 +346,20 @@ def _drawn(rng, m, frac):
     return mask
 
 
-def stratified_split(intervals, frac, seed, unit="file"):
-    """Split labeled intervals into (train, test), per class.  With
-    unit='file' whole sources move together; per-class proportions land
-    within one file of frac, and both sides keep at least one group."""
-    if unit not in ("file", "interval"):
-        raise InputError("unit must be 'file' or 'interval'")
+def stratified_split(y, groups, frac, seed):
+    """(train, test) row positions: per class of the label codes y, round(frac
+    * count) of its sorted distinct groups go to train (one or more each side,
+    a lone group to test), and each of its rows, in order, where its group
+    goes.  groups: source codes keep files whole, np.arange(n) splits rows."""
     rng = np.random.default_rng(seed)
     train, test = [], []
-    for label in LABELS:
-        members = [iv for iv in intervals if iv.label == label]
-        if not members:
-            raise InputError(f"both classes must be present, got no {label!r} intervals")
-        if unit == "file":
-            keys = sorted({iv.source_id for iv in members})
-            if len(keys) < 2:
-                raise InputError(f"class {label!r} has a single source file; file-level "
-                                 "splitting needs >= 2 (try unit='interval')")
-            drawn = dict(zip(keys, _drawn(rng, len(keys), frac).tolist()))
-            picks = [drawn[iv.source_id] for iv in members]
-        else:
-            picks = _drawn(rng, len(members), frac).tolist()
-        train.extend(iv for iv, pick in zip(members, picks) if pick)
-        test.extend(iv for iv, pick in zip(members, picks) if not pick)
-    return train, test
+    for c in range(len(LABELS)):
+        members = np.flatnonzero(y == c)
+        keys, at = np.unique(groups[members], return_inverse=True)
+        picks = _drawn(rng, keys.size, frac)[at]
+        train.append(members[picks])
+        test.append(members[~picks])
+    return np.concatenate(train), np.concatenate(test)
 
 
 def grid_search(train, grid=DEFAULT_K_GRID, seed=0):
@@ -385,12 +375,9 @@ def grid_search(train, grid=DEFAULT_K_GRID, seed=0):
     if rows.y is None:
         raise InputError("training rows must be labeled")
     d = rows.X.shape[1]
-    # drawn as stratified_split draws intervals at interval granularity
-    rng = np.random.default_rng(seed)
-    members = [np.flatnonzero(rows.y == c) for c in range(len(LABELS))]
-    drawn = [_drawn(rng, m.size, 0.8) for m in members]
-    inner_train = rows.take(np.concatenate([m[mask] for m, mask in zip(members, drawn)]))
-    inner_val = rows.take(np.concatenate([m[~mask] for m, mask in zip(members, drawn)]))
+    inner_train, inner_val = (
+        rows.take(part) for part in stratified_split(rows.y, np.arange(rows.y.size), 0.8, seed)
+    )
     inner_counts = np.bincount(inner_train.y, minlength=len(LABELS))
     best_k, best_f, skipped, validation = None, -1.0, [], {}
     for K in sorted(set(grid)):

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: extract, train, predict, evaluate, inspect.  Every command is
-deterministic given its flags plus --seed, and all file output is written
+deterministic given its flags (train and evaluate draw from --seed), checks
+every flag it can before reading any audio, and writes all file output
 atomically (temp file + rename) so a failed run never leaves a truncated
 artifact.  Exit codes: 0 success, 1 runtime failure, 2 usage/input error.
 """
@@ -46,19 +47,13 @@ def _add_pipeline_flags(p):
                    help="peaks kept per frame (default: 20)")
     p.add_argument("--window", choices=WINDOWS, default="rect",
                    help="analysis window (default: rect)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="master seed for all randomness (default: 0)")
 
 
-def _add_eval_flags(p):
+def _add_fit_flags(p):
     p.add_argument("--k-grid", default="1,2,4,8,16,32",
                    help="comma-separated GMM component grid (default: 1,2,4,8,16,32)")
-    p.add_argument("--trials", type=int, default=20,
-                   help="number of repeated splits (default: 20)")
-    p.add_argument("--split", type=float, default=0.7,
-                   help="training fraction (default: 0.7)")
-    p.add_argument("--split-unit", choices=["file", "interval"], default="file",
-                   help="split granularity (default: file)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="master seed for all randomness (default: 0)")
 
 
 def build_parser():
@@ -83,7 +78,7 @@ def build_parser():
                    default="sps-scg", help="feature kind (default: sps-scg)")
     p.add_argument("--out", required=True, help="model file path")
     _add_pipeline_flags(p)
-    _add_eval_flags(p)
+    _add_fit_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="classify intervals of a wav file or directory")
@@ -100,7 +95,13 @@ def build_parser():
                    default="all", help="feature kind(s) to evaluate (default: all)")
     p.add_argument("--out", required=True, help="output directory for report files")
     _add_pipeline_flags(p)
-    _add_eval_flags(p)
+    _add_fit_flags(p)
+    p.add_argument("--trials", type=int, default=20,
+                   help="number of repeated splits (default: 20)")
+    p.add_argument("--split", type=float, default=0.7,
+                   help="training fraction (default: 0.7)")
+    p.add_argument("--split-unit", choices=["file", "interval"], default="file",
+                   help="split granularity (default: file)")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("inspect", help="export plot data (spectrogram, peak overlay, distributions)")
@@ -118,6 +119,12 @@ def build_parser():
 
 def _pipeline_kwargs(args):
     return dict(frame_ms=args.frame_ms, hop_ms=args.hop_ms, window=args.window, p=args.p)
+
+
+def _interval_s(args):
+    if not 0 < args.interval_ms < float("inf"):
+        raise InputError(f"--interval-ms must be finite and above 0, got {args.interval_ms}")
+    return args.interval_ms / 1000.0
 
 
 def _parse_grid(text):
@@ -169,10 +176,10 @@ def _extract(intervals, args):
 
 def cmd_extract(args):
     pipeline.check_p(args.p)
-    intervals = _load_intervals(args.input, args.interval_ms / 1000.0)
     kinds = KINDS if args.feature == "all" else [_FEATURE_FLAG[args.feature]]
     if "late_fused" in kinds:
         raise InputError("late-fused is a scoring scheme, not an extractable vector")
+    intervals = _load_intervals(args.input, _interval_s(args))
     cache = _extract(intervals, args)
     base, ext = os.path.splitext(args.out)
     for kind in kinds:
@@ -185,14 +192,13 @@ def cmd_extract(args):
 
 def cmd_train(args):
     pipeline.check_p(args.p)
-    intervals, report = audio_io.scan_corpus(
-        args.speech_dir, args.music_dir, args.interval_ms / 1000.0
-    )
+    grid = _parse_grid(args.k_grid)
+    intervals, report = audio_io.scan_corpus(args.speech_dir, args.music_dir, _interval_s(args))
     if report.skipped:
         _note(report.render())
     kind = _FEATURE_FLAG[args.feature]
     rows = as_rows(pipeline.vectors_of(_extract(intervals, args), intervals, kind))
-    model = grid_search(rows, _parse_grid(args.k_grid), args.seed)
+    model = grid_search(rows, grid, args.seed)
     save_model(model, args.out)
     meta = model.train_meta
     print(f"wrote {args.out} (feature {kind}, K={meta['chosen_k']}, "
@@ -205,7 +211,7 @@ def cmd_predict(args):
     model = load_model(args.model)
     if model.feature_kind not in KINDS:
         raise InputError(f"model feature kind {model.feature_kind!r} not extractable")
-    intervals = _load_intervals(args.input, args.interval_ms / 1000.0)
+    intervals = _load_intervals(args.input, _interval_s(args))
     vectors = pipeline.vectors_of(_extract(intervals, args), intervals, model.feature_kind)
     sc = score(model, as_rows(vectors))
     lines = ["source_id,interval_index,decision,margin,log_lik_speech,log_lik_music"]
@@ -223,18 +229,17 @@ def cmd_predict(args):
 
 def cmd_evaluate(args):
     pipeline.check_p(args.p)
-    intervals, scan = audio_io.scan_corpus(
-        args.speech_dir, args.music_dir, args.interval_ms / 1000.0
-    )
-    if scan.skipped:
-        _note(scan.render())
-    kinds = list(EVAL_KINDS) if args.feature == "all" else [_FEATURE_FLAG[args.feature]]
+    grid = _parse_grid(args.k_grid)
     cfg = TrialConfig(
         n_trials=args.trials,
         train_frac=args.split,
         seed=args.seed,
         split_unit=args.split_unit,
     )
+    intervals, scan = audio_io.scan_corpus(args.speech_dir, args.music_dir, _interval_s(args))
+    if scan.skipped:
+        _note(scan.render())
+    kinds = list(EVAL_KINDS) if args.feature == "all" else [_FEATURE_FLAG[args.feature]]
     cache, diag = pipeline.extract_corpus(intervals, **_pipeline_kwargs(args))
     diag["skipped_files"] = len(scan.skipped)
     reports, failed = [], []
@@ -245,7 +250,7 @@ def cmd_evaluate(args):
                 kind,
                 cfg,
                 **_pipeline_kwargs(args),
-                k_grid=_parse_grid(args.k_grid),
+                k_grid=grid,
                 feature_cache=cache,
                 diagnostics=diag,
             ))
@@ -269,10 +274,9 @@ def cmd_evaluate(args):
 
 
 def cmd_inspect(args):
+    interval_s = _interval_s(args)
     sig = audio_io.decode_wav(args.input)
-    intervals = audio_io.segment_intervals(
-        sig, args.interval_ms / 1000.0, source_id=os.path.basename(args.input)
-    )
+    intervals = audio_io.segment_intervals(sig, interval_s, source_id=os.path.basename(args.input))
     if not 0 <= args.interval_index < len(intervals):
         raise InputError(
             f"interval index {args.interval_index} out of range (file has {len(intervals)})"

@@ -6,8 +6,8 @@ on both sides (interval granularity is available for comparability, but it
 leaks same-recording information and inflates scores).  All randomness flows
 from one master seed; each trial derives its own seed, so trials could be
 run in any order without changing the result.  Each experiment stacks each
-kind it trains once, as Rows in interval order; a trial selects rows by
-position, so the kinds of late fusion line up by construction.
+kind it trains once, as Rows in interval order, and splits them by position
+into whole groups, so the kinds of late fusion line up by construction.
 
 Late fusion reuses the base models that earlier runs already trained.  A run
 of a base kind empties its kind's entries in a module table, then publishes
@@ -90,8 +90,7 @@ def _digest(rows):
     """blake2b of a Rows table: the shape and dtype of X, then X and y."""
     h = hashlib.blake2b(f"{rows.X.shape} {rows.X.dtype.str}".encode())
     h.update(rows.X.tobytes())
-    if rows.y is not None:  # unlabelled rows fail at the split
-        h.update(rows.y.tobytes())
+    h.update(rows.y.tobytes())  # unlabelled rows never reach a trial
     return h.digest()
 
 
@@ -110,14 +109,13 @@ def _trained(run_kind, rows, train, k_grid, tseed, digest):
     return model
 
 
-def _run_trial(intervals, rows, kind, cfg, t, k_grid, digests=None):
+def _run_trial(groups, rows, kind, cfg, t, k_grid, digests=None):
     """(TrialResult, models) of trial t; rows maps kinds to interval-order
-    Rows, digests (computed when not given) kinds to _digest of their rows."""
+    Rows, groups their rows' split groups, digests (computed when not given)
+    kinds to _digest of their rows."""
     digests = digests or {k: _digest(r) for k, r in rows.items()}
     tseed = _trial_seed(cfg.seed, t)
-    train_iv, test_iv = stratified_split(intervals, cfg.train_frac, tseed, cfg.split_unit)
-    at = {id(iv): i for i, iv in enumerate(intervals)}
-    train, test = (np.array([at[id(iv)] for iv in part]) for part in (train_iv, test_iv))
+    train, test = stratified_split(next(iter(rows.values())).y, groups, cfg.train_frac, tseed)
     models = {k: _trained(kind, r, train, k_grid, tseed, digests[k]) for k, r in rows.items()}
     tested = {k: r.take(test) for k, r in rows.items()}
     if kind == "late_fused":
@@ -161,11 +159,21 @@ def run_experiment(
         if r.X.shape[1] != feature_dim(kind, p):
             raise InputError(f"feature cache holds {kind} vectors of size {r.X.shape[1]}, "
                              f"expected {feature_dim(kind, p)} at p = {p}")
+    y = rows[kinds[0]].y  # None when unlabelled
+    ids = [iv.source_id for iv in intervals] if cfg.split_unit == "file" else range(len(intervals))
+    groups = np.unique(ids, return_inverse=True)[1]  # split groups: sources, or rows
+    for c, label in enumerate(LABELS):
+        n = 0 if y is None else np.unique(groups[y == c]).size
+        if n == 0:
+            raise InputError(f"both classes must be present, got no {label!r} intervals")
+        if n < 2 and cfg.split_unit == "file":
+            raise InputError(f"class {label!r} has a single source file; file-level "
+                             "splitting needs >= 2 (try unit='interval')")
     digests = {k: _digest(r) for k, r in rows.items()}
     if feature_kind in BASE_KINDS:
         _HANDOFF[feature_kind] = {}
     trials = [
-        _run_trial(intervals, rows, feature_kind, cfg, t, k_grid, digests)[0]
+        _run_trial(groups, rows, feature_kind, cfg, t, k_grid, digests)[0]
         for t in range(cfg.n_trials)
     ]
     fs = [tr.f for tr in trials]
@@ -183,7 +191,7 @@ def run_experiment(
         "window": window,
         "k_grid": list(k_grid),
         "sample_rate": rates.pop(),
-        "n_intervals": dict(zip(LABELS, np.bincount(rows[kinds[0]].y, minlength=2).tolist())),
+        "n_intervals": dict(zip(LABELS, np.bincount(y, minlength=2).tolist())),
     }
     return EvalReport(
         feature_kind=feature_kind,

@@ -39,8 +39,8 @@ def make_frame_config(sample_rate, frame_ms, hop_ms, window="rect"):
     """Frame/hop lengths in samples from durations in milliseconds.  The
     frame length is rounded to the nearest sample and bumped up to the next
     even number so the half-spectrum size n_f is well defined."""
-    if not frame_ms > hop_ms > 0:
-        raise ConfigError(f"need frame_ms > hop_ms > 0, got {frame_ms}/{hop_ms}")
+    if not np.inf > frame_ms > hop_ms > 0:
+        raise ConfigError(f"need finite frame_ms > hop_ms > 0, got {frame_ms}/{hop_ms}")
     frame_len = round(frame_ms * sample_rate / 1000)
     if frame_len % 2:
         frame_len += 1

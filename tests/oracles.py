@@ -6,9 +6,9 @@ imports from spsgmm and nothing uses numpy, so agreement between these
 references and the fast implementations is meaningful evidence rather than a
 tautology.  The exceptions are the last two sections: the per-component
 mixture loops are numpy on purpose, because there the reference is a
-summation order, not a formula, and the list-based grid search is the
-classifier's earlier code path, which the array path must reproduce bit for
-bit.
+summation order, not a formula, and the list-based grid search and the
+interval-object split are the package's earlier code paths, which the array
+paths must reproduce bit for bit.
 
 The row statistics are exact: lagged sums, variances and centroids are formed
 from Python integers and ``Fraction``, and rounded to float once at the end.
@@ -333,6 +333,44 @@ def split_list(items, frac, seed):
         chosen = {keys[i] for i in perm[:n_tr]}
         train.extend(members[i] for i in sorted(chosen))
         test.extend(members[i] for i in sorted(set(keys) - chosen))
+    return train, test
+
+
+# The protocol's stratified split as it ran on interval objects, before it
+# took label and group codes and returned row positions: a literal copy, with
+# ValueError for the package's InputError.  Intervals are anything with
+# .label and .source_id.
+
+def _drawn(rng, m, frac):
+    """Mask of the round(frac * m) of m keys drawn, at least 1 and at most m - 1."""
+    mask = np.zeros(m, bool)
+    mask[rng.permutation(m)[: min(max(round(frac * m), 1), m - 1)]] = True
+    return mask
+
+
+def stratified_split_intervals(intervals, frac, seed, unit="file"):
+    """Split labeled intervals into (train, test), per class.  With
+    unit='file' whole sources move together; per-class proportions land
+    within one file of frac, and both sides keep at least one group."""
+    if unit not in ("file", "interval"):
+        raise ValueError("unit must be 'file' or 'interval'")
+    rng = np.random.default_rng(seed)
+    train, test = [], []
+    for label in LABELS:
+        members = [iv for iv in intervals if iv.label == label]
+        if not members:
+            raise ValueError(f"both classes must be present, got no {label!r} intervals")
+        if unit == "file":
+            keys = sorted({iv.source_id for iv in members})
+            if len(keys) < 2:
+                raise ValueError(f"class {label!r} has a single source file; file-level "
+                                 "splitting needs >= 2 (try unit='interval')")
+            drawn = dict(zip(keys, _drawn(rng, len(keys), frac).tolist()))
+            picks = [drawn[iv.source_id] for iv in members]
+        else:
+            picks = _drawn(rng, len(members), frac).tolist()
+        train.extend(iv for iv, pick in zip(members, picks) if pick)
+        test.extend(iv for iv, pick in zip(members, picks) if not pick)
     return train, test
 
 

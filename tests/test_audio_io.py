@@ -135,6 +135,12 @@ class TestSegmentIntervals:
         with pytest.raises(InputError, match=r"0\.01 ms is under one sample at 22050 Hz"):
             segment_intervals(sig, 0.01 / 1000)  # round(0.2205) -> 0 samples
 
+    @pytest.mark.parametrize("interval_s", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_non_finite_or_nonpositive_interval_is_named(self, interval_s):
+        sig = AudioSignal(samples=np.zeros(22050), sample_rate=22050)
+        with pytest.raises(InputError, match=f"finite and positive, got {interval_s}"):
+            segment_intervals(sig, interval_s)
+
     def test_concatenation_reproduces_prefix(self):
         rng = np.random.default_rng(4)
         sig = AudioSignal(samples=rng.standard_normal(50000), sample_rate=22050)

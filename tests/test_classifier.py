@@ -541,8 +541,10 @@ class TestGridSearch:
     def test_validation_uses_the_protocol_split_and_metric(self, K):
         pooled = blobs(43, 50, d=2, sep=1.5)
         train = [f for pair in zip(pooled[:50], pooled[50:]) for f in pair]
-        inner_train, inner_val = evaluate.stratified_split(train, 0.8, 3, "interval")
-        inner_val = as_rows(inner_val)
+        rows = as_rows(train)
+        inner_train, inner_val = (
+            rows.take(part) for part in evaluate.stratified_split(rows.y, np.arange(100), 0.8, 3)
+        )
         pred = score(fit_gmm(inner_train, K, 3), inner_val).decision
         want = evaluate.f_score(evaluate.confusion_matrix(inner_val.y, pred))
         assert grid_search(train, [K], 3).train_meta["validation_f"][K] == want

@@ -1,9 +1,15 @@
 """End-to-end runs of the installed command-line interface in subprocesses:
-artifact layout, exit codes, determinism, and stderr diagnostics."""
+artifact layout, exit codes, determinism, and stderr diagnostics; and a
+static check that every command reads every flag it accepts."""
+
+import argparse
+import ast
+import inspect
 
 import numpy as np
 import pytest
 
+from spsgmm import cli as spsgmm_cli
 from spsgmm.audio_io import decode_wav, segment_intervals, write_wav
 from spsgmm.classifier import load_model, score
 from spsgmm.pipeline import extract_features
@@ -118,6 +124,15 @@ class TestExtract:
         )
         assert r.returncode == 2
         assert "not an extractable vector" in r.stderr
+
+    def test_late_fused_refused_before_decoding(self, cli, tmp_path):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "broken.wav").write_bytes(b"not a wav file")
+        r = cli("extract", bad, "--feature", "late-fused", "--out", tmp_path / "x.csv")
+        assert r.returncode == 2
+        assert "late-fused is a scoring scheme" in r.stderr
+        assert "RIFF" not in r.stderr
 
 
 class TestTrain:
@@ -394,3 +409,74 @@ class TestUsage:
     def test_unknown_flag(self, cli, speech_wav):
         r = cli("extract", speech_wav, "--out", "x.csv", "--bogus")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_bad_grid_checked_before_scanning(self, cli, tmp_path, command):
+        ghost = tmp_path / "nowhere"
+        r = cli(command, ghost, ghost, "--k-grid", "two", "--out", tmp_path / "out")
+        assert r.returncode == 2
+        assert "bad --k-grid 'two'" in r.stderr
+        assert "not a directory" not in r.stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "0"])
+    @pytest.mark.parametrize("command", ["extract", "inspect", "train"])
+    def test_interval_ms_must_be_finite_and_positive(self, cli, corpus_dirs, tmp_path, command, value):
+        inputs = {
+            "extract": [corpus_dirs[0]],
+            "inspect": [corpus_dirs[0] / "sp00.wav"],
+            "train": list(corpus_dirs),
+        }[command]
+        out = tmp_path / "out"
+        r = cli(command, *inputs, "--interval-ms", value, "--out", out)
+        assert r.returncode == 2, r.stderr
+        shown = {"1e400": "inf", "0": "0.0"}.get(value, value)
+        assert f"--interval-ms must be finite and above 0, got {shown}" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--frame-ms", "--hop-ms"])
+    def test_infinite_frame_or_hop_exits_2(self, cli, speech_wav, tmp_path, flag):
+        r = cli("extract", speech_wav, flag, "inf", "--out", tmp_path / "x.csv")
+        assert r.returncode == 2, r.stderr
+        assert "need finite frame_ms > hop_ms > 0, got" in r.stderr
+        assert "Traceback" not in r.stderr
+
+
+def flags_read(command):
+    """Attributes of its args that a cli command function reads, following
+    args into every function of cli's own that it is passed to."""
+    tree = ast.parse(inspect.getsource(spsgmm_cli))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    read, seen, todo = set(), set(), [(command.__name__, "args")]
+    while todo:
+        name, param = todo.pop()
+        if (name, param) in seen:
+            continue
+        seen.add((name, param))
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == param:
+                    read.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in defs:
+                params = [a.arg for a in defs[node.func.id].args.args]
+                passed = list(zip(params, node.args)) + [(k.arg, k.value) for k in node.keywords]
+                todo += [
+                    (node.func.id, p) for p, arg in passed
+                    if isinstance(arg, ast.Name) and arg.id == param
+                ]
+    return read
+
+
+def test_every_flag_is_read():
+    """No command accepts a flag, or an argument, that it then ignores."""
+    parser = spsgmm_cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, p in sub.choices.items():
+        read = flags_read(p.get_default("func"))
+        unread += [
+            f"{name} {(a.option_strings or [a.dest])[-1]}"
+            for a in p._actions
+            if a.dest != "help" and a.dest not in read
+        ]
+    assert not unread, f"flags that no command reads: {', '.join(unread)}"

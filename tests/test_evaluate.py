@@ -2,13 +2,17 @@
 byte-stable reports."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from spsgmm import evaluate
 from spsgmm.audio_io import AudioInterval
-from spsgmm.classifier import as_rows, model_to_text
+from spsgmm.classifier import LABELS, as_rows, model_to_text
 from spsgmm.errors import InputError
 from spsgmm.evaluate import (
     TrialConfig,
@@ -71,13 +75,21 @@ class TestConfusionMatrix:
             confusion_matrix([0], [0, 1])
 
 
+def codes(pool, unit="file"):
+    """The label codes and split groups that run_experiment gives the rows
+    of an interval pool: source codes at file unit, else positions."""
+    ids = [x.source_id for x in pool] if unit == "file" else range(len(pool))
+    return np.array([LABELS.index(x.label) for x in pool]), np.unique(ids, return_inverse=True)[1]
+
+
 class TestStratifiedSplit:
     def test_interval_unit_sizes(self):
         pool = [iv("s", i, "speech") for i in range(64)] + [
             iv("m", i, "music") for i in range(64)
         ]
-        train, test = stratified_split(pool, 0.7, seed=0, unit="interval")
-        per = lambda part, lab: sum(1 for x in part if x.label == lab)
+        y, groups = codes(pool, "interval")
+        train, test = stratified_split(y, groups, 0.7, seed=0)
+        per = lambda part, lab: sum(1 for i in part if pool[i].label == lab)
         assert per(train, "speech") == per(train, "music") == 45
         assert per(test, "speech") == per(test, "music") == 19
         assert len(train) + len(test) == 128
@@ -89,46 +101,60 @@ class TestStratifiedSplit:
             for f in range(10)
             for i in range(2)
         ]
-        train, test = stratified_split(pool, 0.7, seed=4, unit="file")
-        tr_src = {x.source_id for x in train}
-        te_src = {x.source_id for x in test}
+        train, test = stratified_split(*codes(pool), 0.7, seed=4)
+        tr_src = {pool[i].source_id for i in train}
+        te_src = {pool[i].source_id for i in test}
         assert not tr_src & te_src
         assert len(train) == 28 and len(test) == 12  # 7/3 files per class
 
     def test_deterministic(self):
         pool = [iv(f"{lab}{f}", 0, lab) for lab in ("speech", "music") for f in range(8)]
-        a = stratified_split(pool, 0.7, seed=11, unit="file")
-        b = stratified_split(pool, 0.7, seed=11, unit="file")
-        assert [x.source_id for x in a[0]] == [x.source_id for x in b[0]]
-        assert [x.source_id for x in a[1]] == [x.source_id for x in b[1]]
+        a = stratified_split(*codes(pool), 0.7, seed=11)
+        b = stratified_split(*codes(pool), 0.7, seed=11)
+        assert [pool[i].source_id for i in a[0]] == [pool[i].source_id for i in b[0]]
+        assert [pool[i].source_id for i in a[1]] == [pool[i].source_id for i in b[1]]
 
     def test_seed_varies_the_split(self):
         pool = [iv(f"{lab}{f}", 0, lab) for lab in ("speech", "music") for f in range(6)]
         picks = {
-            frozenset(x.source_id for x in stratified_split(pool, 0.7, s, "file")[0])
+            frozenset(pool[i].source_id for i in stratified_split(*codes(pool), 0.7, s)[0])
             for s in range(6)
         }
         assert len(picks) >= 2
 
     def test_extreme_fraction_keeps_both_sides(self):
         pool = [iv(f"{lab}{f}", 0, lab) for lab in ("speech", "music") for f in range(2)]
-        train, test = stratified_split(pool, 0.99, seed=0, unit="file")
+        train, test = stratified_split(*codes(pool), 0.99, seed=0)
         assert len(train) == 2 and len(test) == 2  # one file each side per class
 
-    def test_single_file_class_rejected(self):
-        pool = [iv("s0", i, "speech") for i in range(4)] + [
-            iv(f"m{f}", 0, "music") for f in range(3)
-        ]
-        with pytest.raises(InputError, match="single source file.*interval"):
-            stratified_split(pool, 0.7, seed=0, unit="file")
-
-    def test_missing_class_rejected(self):
-        with pytest.raises(InputError, match="both classes"):
-            stratified_split([iv("s0", 0, "speech"), iv("s1", 0, "speech")], 0.7, 0)
-
-    def test_bad_unit(self):
-        with pytest.raises(InputError, match="unit"):
-            stratified_split([], 0.7, 0, unit="minute")
+    @given(
+        layout=st.lists(
+            st.tuples(st.sampled_from(LABELS), st.integers(0, 5)), min_size=2, max_size=40
+        ),
+        unit=st.sampled_from(["file", "interval"]),
+        frac=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.sampled_from([1e-12, 0.01, 0.05, 0.95, 0.99, 1 - 1e-12]),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_positions_are_the_interval_split(self, layout, unit, frac, seed):
+        """The positions select the intervals that the interval-object split
+        selects, in its order, for any order of labels and sources."""
+        pool = [iv(f"src{s}", i, lab) for i, (lab, s) in enumerate(layout)]
+        try:
+            want = oracles.stratified_split_intervals(pool, frac, seed, unit)
+        except ValueError as exc:  # run_experiment refuses the same pools
+            cache = {(x.source_id, x.index): {"sps_p": FeatureVector("sps_p", np.zeros(2), x.label)}
+                     for x in pool}
+            with pytest.raises(InputError, match=re.escape(str(exc))):
+                run_experiment(pool, "sps_p", TrialConfig(1, frac, seed, unit), p=2,
+                               feature_cache=cache)
+            return
+        got = stratified_split(*codes(pool, unit), frac, seed)
+        for part, ivs in zip(got, want, strict=True):
+            assert part.dtype.kind == "i"
+            assert [pool[i].index for i in part] == [x.index for x in ivs]
 
 
 class TestTrialConfig:
@@ -208,7 +234,8 @@ class TestRunExperiment:
             corpus_intervals, "sps_scg", cfg, p=3, k_grid=K1, feature_cache=cache
         )
         rows = stacked(corpus_intervals, cache, ["sps_scg"])
-        redone, _ = _run_trial(corpus_intervals, rows, "sps_scg", cfg, 2, K1)
+        groups = codes(corpus_intervals)[1]
+        redone, _ = _run_trial(groups, rows, "sps_scg", cfg, 2, K1)
         assert redone.f == rep.trials[2].f
         assert redone.chosen_k == rep.trials[2].chosen_k
         np.testing.assert_array_equal(redone.confusion, rep.trials[2].confusion)
@@ -227,12 +254,11 @@ class TestRunExperiment:
     ):
         cache, _ = feature_cache
         cfg = TrialConfig(n_trials=1, seed=3)
-        _, test_iv = stratified_split(
-            corpus_intervals, cfg.train_frac, _trial_seed(cfg.seed, 0), cfg.split_unit
-        )
+        y, groups = codes(corpus_intervals)
+        _, test = stratified_split(y, groups, cfg.train_frac, _trial_seed(cfg.seed, 0))
         poisoned = dict(cache)
-        for x in test_iv:
-            key = (x.source_id, x.index)
+        for i in test:
+            key = (corpus_intervals[i].source_id, corpus_intervals[i].index)
             poisoned[key] = {
                 kind: dataclasses.replace(f, values=f.values + 100.0)
                 for kind, f in cache[key].items()
@@ -240,8 +266,8 @@ class TestRunExperiment:
         for kind, trained in (("sps_scg", ["sps_scg"]), ("late_fused", list(BASE_KINDS))):
             clean_rows = stacked(corpus_intervals, cache, trained)
             dirty_rows = stacked(corpus_intervals, poisoned, trained)
-            _, clean = _run_trial(corpus_intervals, clean_rows, kind, cfg, 0, K1)
-            _, dirty = _run_trial(corpus_intervals, dirty_rows, kind, cfg, 0, K1)
+            _, clean = _run_trial(groups, clean_rows, kind, cfg, 0, K1)
+            _, dirty = _run_trial(groups, dirty_rows, kind, cfg, 0, K1)
             assert list(clean) == list(dirty) == trained
             for k in trained:
                 assert model_to_text(clean[k]) == model_to_text(dirty[k])
@@ -276,6 +302,28 @@ class TestRunExperiment:
         assert own.config == given.config
         assert own.diagnostics == given.diagnostics == diag
 
+    def test_single_file_class_rejected(self, corpus_intervals, feature_cache):
+        one = corpus_intervals[0].source_id  # speech from this file alone
+        pool = [x for x in corpus_intervals if x.label == "music" or x.source_id == one]
+        with pytest.raises(InputError, match="single source file.*interval"):
+            run_experiment(pool, "sps_p", TrialConfig(n_trials=1), p=3, k_grid=K1,
+                           feature_cache=feature_cache[0])
+
+    def test_missing_class_rejected(self, corpus_intervals, feature_cache):
+        speech = [x for x in corpus_intervals if x.label == "speech"]
+        for kind in ("sps_p", "late_fused"):
+            with pytest.raises(InputError, match="both classes"):
+                run_experiment(speech, kind, TrialConfig(n_trials=1), p=3, k_grid=K1,
+                               feature_cache=feature_cache[0])
+
+    def test_unlabelled_corpus_rejected(self, corpus_intervals, feature_cache):
+        pool = [dataclasses.replace(x, label=None) for x in corpus_intervals]
+        cache = {key: {k: dataclasses.replace(f, label=None) for k, f in v.items()}
+                 for key, v in feature_cache[0].items()}
+        with pytest.raises(InputError, match="both classes must be present, got no 'speech'"):
+            run_experiment(pool, "sps_p", TrialConfig(n_trials=1), p=3, k_grid=K1,
+                           feature_cache=cache)
+
     def test_unknown_kind(self, corpus_intervals):
         with pytest.raises(InputError, match="feature_kind"):
             run_experiment(corpus_intervals, "pitch")
@@ -302,8 +350,9 @@ def counted_training(monkeypatch):
 
 
 def split_of(intervals, cfg, t=0):
-    train, _ = stratified_split(intervals, cfg.train_frac, _trial_seed(cfg.seed, t), cfg.split_unit)
-    return [(x.source_id, x.index) for x in train]
+    y, groups = codes(intervals, cfg.split_unit)
+    train, _ = stratified_split(y, groups, cfg.train_frac, _trial_seed(cfg.seed, t))
+    return [(intervals[i].source_id, intervals[i].index) for i in train]
 
 
 class TestLateFusionHandOff:

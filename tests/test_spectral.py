@@ -39,6 +39,13 @@ class TestMakeFrameConfig:
         with pytest.raises(ConfigError):
             make_frame_config(8000, 30, 0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_duration_is_named(self, value):
+        with pytest.raises(ConfigError, match=f"need finite frame_ms > hop_ms > 0, got {value}/1"):
+            make_frame_config(22050, value, 1)
+        with pytest.raises(ConfigError, match=f"need finite frame_ms > hop_ms > 0, got 30/{value}"):
+            make_frame_config(22050, 30, value)
+
     def test_odd_rounding_bumps_to_even(self):
         # 0.030 * 22050 = 661.5 rounds half-to-even to 662 already; force an
         # odd product instead
