@@ -15,6 +15,7 @@ from .audio_io import (
     AudioSignal,
     ScanReport,
     decode_wav,
+    load_intervals,
     scan_corpus,
     segment_intervals,
     write_wav,

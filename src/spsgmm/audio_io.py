@@ -1,4 +1,8 @@
-"""WAV decoding, mono mixdown, and segmentation into analysis intervals."""
+"""WAV decoding, mono mixdown, and segmentation into analysis intervals.
+
+load_intervals is the one path from a WAV file or directory to intervals and
+their (source id, index), the feature cache's key; it reports each file that
+gives no interval, which scan_corpus skips and the CLI refuses."""
 
 import os
 import struct
@@ -183,21 +187,29 @@ def segment_intervals(sig, interval_s, source_id="", label=None):
     ]
 
 
-def _scan_dir(directory, label, interval_s, intervals, report):
-    names = sorted(os.listdir(directory))
-    for name in names:
-        path = os.path.join(directory, name)
-        if not os.path.isfile(path):
-            continue
+def load_intervals(path, interval_s, label=None):
+    """(intervals, skipped) of a WAV file, or of every file of a directory in
+    name order (entries that are not files are ignored).  Each file is decoded
+    and cut by segment_intervals, with the source id "<label>/<file name>"
+    when labelled and "<file name>" when not; a file that gives no interval
+    is left out and listed in skipped as a (path, reason) pair.  A path that
+    is neither a file nor a directory is an error."""
+    if os.path.isdir(path):
+        files = [os.path.join(path, n) for n in sorted(os.listdir(path))]
+        files = [f for f in files if os.path.isfile(f)]
+    elif os.path.isfile(path):
+        files = [path]
+    else:
+        raise InputError(f"no such file or directory: {path}")
+    intervals, skipped = [], []
+    for f in files:
+        name = os.path.basename(f)
+        source_id = name if label is None else f"{label}/{name}"
         try:
-            sig = decode_wav(path)
-            ivs = segment_intervals(sig, interval_s, source_id=f"{label}/{name}", label=label)
+            intervals += segment_intervals(decode_wav(f), interval_s, source_id, label)
         except (DecodeError, InputError) as exc:
-            report.skipped.append((path, str(exc)))
-            continue
-        intervals.extend(ivs)
-        report.n_files[label] = report.n_files.get(label, 0) + 1
-        report.n_intervals[label] = report.n_intervals.get(label, 0) + len(ivs)
+            skipped.append((f, str(exc)))
+    return intervals, skipped
 
 
 def scan_corpus(speech_dir, music_dir, interval_s=1.0):
@@ -205,15 +217,22 @@ def scan_corpus(speech_dir, music_dir, interval_s=1.0):
     intervals (lexicographic file order, then interval index), each with the
     source id "<label>/<file name>" so equal file names in the two classes
     stay distinct.  Undecodable files are skipped and recorded in the returned
-    ScanReport; a class ending up with zero usable intervals is an error."""
+    ScanReport; a class ending up with zero usable intervals is an error that
+    lists the files of that class it skipped."""
     for d in (speech_dir, music_dir):
         if not os.path.isdir(d):
             raise InputError(f"not a directory: {d}")
     intervals = []
     report = ScanReport(skipped=[], n_files={}, n_intervals={})
-    _scan_dir(speech_dir, "speech", interval_s, intervals, report)
-    _scan_dir(music_dir, "music", interval_s, intervals, report)
-    for label in ("speech", "music"):
-        if report.n_intervals.get(label, 0) == 0:
-            raise InputError(f"no usable intervals for class {label!r}")
+    for label, d in (("speech", speech_dir), ("music", music_dir)):
+        ivs, skipped = load_intervals(d, interval_s, label)
+        if not ivs:
+            raise InputError(
+                f"no usable intervals for class {label!r}"
+                + "".join(f"\n  {f}: {reason}" for f, reason in skipped)
+            )
+        intervals += ivs
+        report.skipped += skipped
+        report.n_files[label] = len({iv.source_id for iv in ivs})
+        report.n_intervals[label] = len(ivs)
     return intervals, report

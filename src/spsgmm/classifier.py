@@ -583,6 +583,16 @@ def model_from_text(text):
                 f"class {lab}: means {c['means'].shape} and vars {c['vars'].shape} "
                 f"must both be ({K}, {d})"
             )
+    # a fitted model never breaks these: std is floored at 1e-8, vars at
+    # 1e-12 or more, and EM adds 1e-300 to every component's mass
+    blocks = {"standardizer mean": std_fields["mean"], "standardizer std": std_fields["std"]}
+    blocks.update((f"class {lab} {k}", c[k]) for lab, c in classes.items()
+                  for k in ("log_prior", "weights", "means", "vars"))
+    for name, values in blocks.items():
+        if not np.isfinite(values).all():
+            raise InputError(f"model file {name}: non-finite value")
+        if name.endswith(("std", "weights", "vars")) and not (values > 0).all():
+            raise InputError(f"model file {name}: value not above 0")
     mixes = {
         lab: Mixture(
             weights=c["weights"],

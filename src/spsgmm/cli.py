@@ -105,12 +105,13 @@ def build_parser():
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("inspect", help="export plot data (spectrogram, peak overlay, distributions)")
-    p.add_argument("input", help="wav file")
+    p.add_argument("input", help="wav file or directory")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--emit", choices=["all", "spectrogram", "sps", "dist"],
                    default="all", help="which CSV families to write (default: all)")
     p.add_argument("--interval-index", type=int, default=0,
-                   help="which interval of the file to render (default: 0)")
+                   help="which interval of the input to render, counted across "
+                        "its files in name order (default: 0)")
     _add_pipeline_flags(p)
     p.set_defaults(func=cmd_inspect)
 
@@ -137,28 +138,14 @@ def _parse_grid(text):
     return grid
 
 
-def _input_wavs(path):
-    if os.path.isfile(path):
-        return [path]
-    if os.path.isdir(path):
-        files = [
-            os.path.join(path, n)
-            for n in sorted(os.listdir(path))
-            if os.path.isfile(os.path.join(path, n))
-        ]
-        if not files:
-            raise InputError(f"no files in directory {path}")
-        return files
-    raise InputError(f"no such file or directory: {path}")
-
-
 def _load_intervals(path, interval_s):
-    intervals = []
-    for f in _input_wavs(path):
-        sig = audio_io.decode_wav(f)
-        intervals.extend(
-            audio_io.segment_intervals(sig, interval_s, source_id=os.path.basename(f))
-        )
+    """The intervals of a WAV file or directory, refusing every file that
+    gives none with its reason."""
+    intervals, skipped = audio_io.load_intervals(path, interval_s)
+    if skipped:
+        raise InputError("\n".join(f"{f}: {reason}" for f, reason in skipped))
+    if not intervals:
+        raise InputError(f"no files in directory {path}")
     return intervals
 
 
@@ -185,7 +172,7 @@ def cmd_extract(args):
     for kind in kinds:
         vectors = pipeline.vectors_of(cache, intervals, kind)
         out = args.out if len(kinds) == 1 else f"{base}_{kind}{ext or '.csv'}"
-        atomic_write_text(out, "\n".join(feature_csv_lines(vectors)) + "\n")
+        atomic_write_text(out, "\n".join(feature_csv_lines(intervals, vectors)) + "\n")
         print(f"wrote {out} ({len(vectors)} rows)")
     return 0
 
@@ -274,12 +261,10 @@ def cmd_evaluate(args):
 
 
 def cmd_inspect(args):
-    interval_s = _interval_s(args)
-    sig = audio_io.decode_wav(args.input)
-    intervals = audio_io.segment_intervals(sig, interval_s, source_id=os.path.basename(args.input))
+    intervals = _load_intervals(args.input, _interval_s(args))
     if not 0 <= args.interval_index < len(intervals):
         raise InputError(
-            f"interval index {args.interval_index} out of range (file has {len(intervals)})"
+            f"interval index {args.interval_index} out of range (input has {len(intervals)})"
         )
     os.makedirs(args.out, exist_ok=True)
     emit = {"spectrogram", "sps", "dist"} if args.emit == "all" else {args.emit}

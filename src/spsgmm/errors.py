@@ -20,7 +20,7 @@ class ConfigError(SpsgmmError):
 
 class InputError(SpsgmmError):
     """Structurally or numerically invalid data (shapes, non-finite values,
-    provenance mismatches, empty corpora)."""
+    empty corpora)."""
 
 
 class FitError(SpsgmmError):

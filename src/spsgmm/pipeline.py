@@ -37,14 +37,9 @@ def extract_features(interval, *, frame_ms=30.0, hop_ms=1.0, window="rect", p=20
     diagnostic count, as ({kind: FeatureVector}, peakless)."""
     check_p(p)
     _, m, attrs = analyze(interval, frame_ms=frame_ms, hop_ms=hop_ms, window=window, p=p)
-    prov = {
-        "label": interval.label,
-        "source_id": interval.source_id,
-        "interval_index": interval.index,
-    }
-    fp = sps_periodicity(attrs, **prov)
-    fz = sps_zcr(attrs, **prov)
-    fs = sps_scg(m, attrs, **prov)
+    fp = sps_periodicity(attrs, interval.label)
+    fz = sps_zcr(attrs, interval.label)
+    fs = sps_scg(m, attrs, interval.label)
     vectors = {
         "sps_p": fp,
         "sps_zcr": fz,

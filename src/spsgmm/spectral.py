@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import map_row_blocks
+from ._util import is_smooth, map_row_blocks
 from .errors import ConfigError, InputError
 
 WINDOWS = ("rect", "hamming")
@@ -65,14 +65,6 @@ def _window_vector(cfg):
     return None
 
 
-def _is_smooth(n):
-    """True when n has no prime factor above 5."""
-    for q in (2, 3, 5):
-        while n % q == 0:
-            n //= q
-    return n == 1
-
-
 def magnitude_spectra(frames, cfg):
     """|DFT| of every frame, bins 0..n_f-1, as an (L, n_f) array.
 
@@ -92,7 +84,7 @@ def magnitude_spectra(frames, cfg):
     w = _window_vector(cfg)
     if w is not None:
         frames = frames * w
-    if _is_smooth(cfg.frame_len):
+    if is_smooth(cfg.frame_len):
         # slicing first makes the modulus a contiguous array of only the kept bins
         return np.abs(np.fft.rfft(frames, axis=1)[:, : cfg.n_f])
     # the full complex spectrum is allocated once, as by the single call, so

@@ -12,13 +12,18 @@ R < 2**52 (every interval up to about 5 s at 22050 Hz with a 1 ms hop), that
 rounding keeps the strict order of distinct R values, so the maxima sps_p finds
 on the rounded autocorrelation are those of the exact one; beyond that point
 they are found on correctly rounded values.
+
+A FeatureVector holds a kind, its values and the interval's label, nothing
+of the interval's identity: the feature cache keys each interval's vectors
+by (source id, index), and feature_csv_lines reads those from the intervals.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import is_smooth
 from .errors import ConfigError, InputError
 from .sps_core import PeakSequenceMatrix, interior_maxima
 
@@ -44,8 +49,6 @@ class FeatureVector:
     kind: str
     values: np.ndarray
     label: str | None = None
-    source_id: str = ""
-    interval_index: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -98,9 +101,8 @@ def compute_attributes(m):
     L = S.shape[1]
     hi = int(S.max(initial=0))
     cap = lag_cap(L)
-    # the smallest FFT length >= L + cap with no prime factor above 5, which
-    # pocketfft transforms fastest (30**64 is a multiple of each one < 2**64)
-    n = next(n for n in itertools.count(L + cap) if 30**64 % n == 0)
+    # the smallest FFT length >= L + cap that pocketfft transforms fastest
+    n = next(n for n in itertools.count(L + cap) if is_smooth(n))
     # int64 holds every R exactly, and rint gives every P exactly
     if L**3 * hi**2 >= 2**63 or _lagged_sum_error_bound(L, hi, n) >= 0.25:
         raise InputError(
@@ -125,15 +127,7 @@ def compute_attributes(m):
     return SpsAttributes(centroids=mu, centered=C, autocorr=R / L**3, lag_cap=cap)
 
 
-def _provenance(kw):
-    return {
-        "label": kw.get("label"),
-        "source_id": kw.get("source_id", ""),
-        "interval_index": kw.get("interval_index", 0),
-    }
-
-
-def sps_periodicity(attrs, **kw):
+def sps_periodicity(attrs, label=None):
     """V_r: variance of the spacing between autocorrelation peaks, one value
     per row.  Low values mean evenly spaced peaks, i.e. a periodic row; rows
     with fewer than two gaps count as perfectly periodic."""
@@ -146,19 +140,19 @@ def sps_periodicity(attrs, **kw):
     # integer sums, exact in float64, so the one division rounds correctly
     vals = np.zeros(p)
     np.divide(n * s2 - s1 * s1, n * n, out=vals, where=n >= 2)
-    return FeatureVector(kind="sps_p", values=vals, **_provenance(kw))
+    return FeatureVector(kind="sps_p", values=vals, label=label)
 
 
-def sps_zcr(attrs, **kw):
+def sps_zcr(attrs, label=None):
     """Z_r = (1/2L) sum |sgn C[l] - sgn C[l-1]| per row, with sgn(0) = 0."""
     C = attrs.centered
     L = C.shape[1]
     s = np.sign(C)
     counts = np.abs(s[:, 1:] - s[:, :-1]).sum(axis=1)
-    return FeatureVector(kind="sps_zcr", values=counts / (2 * L), **_provenance(kw))
+    return FeatureVector(kind="sps_zcr", values=counts / (2 * L), label=label)
 
 
-def sps_scg(m, attrs, **kw):
+def sps_scg(m, attrs, label=None):
     """[mu | sigma | dmu]: per-row centroid, population standard deviation,
     and centroid gradient across rows (central differences, one-sided at the
     ends)."""
@@ -172,9 +166,7 @@ def sps_scg(m, attrs, **kw):
     dmu[0] = mu[1] - mu[0]
     dmu[1:-1] = (mu[2:] - mu[:-2]) / 2
     dmu[-1] = mu[-1] - mu[-2]
-    return FeatureVector(
-        kind="sps_scg", values=np.concatenate([mu, sigma, dmu]), **_provenance(kw)
-    )
+    return FeatureVector(kind="sps_scg", values=np.concatenate([mu, sigma, dmu]), label=label)
 
 
 def early_fuse(fp, fz, fs):
@@ -182,15 +174,10 @@ def early_fuse(fp, fz, fs):
     got = (fp.kind, fz.kind, fs.kind)
     if got != BASE_KINDS:
         raise InputError(f"early_fuse expects kinds {BASE_KINDS}, got {got}")
-    prov = {(f.source_id, f.interval_index) for f in (fp, fz, fs)}
-    if len(prov) != 1:
-        raise InputError(f"provenance mismatch in early_fuse: {sorted(prov)}")
     return FeatureVector(
         kind="early_fused",
         values=np.concatenate([fp.values, fz.values, fs.values]),
         label=fp.label,
-        source_id=fp.source_id,
-        interval_index=fp.interval_index,
     )
 
 
@@ -220,9 +207,10 @@ def distribution_csv_lines(attrs_list, p):
     return zcr_lines, ac_lines
 
 
-def feature_csv_lines(vectors):
-    """CSV `source_id,interval_index,label,kind,v0..v{d-1}` for a list of
-    same-kind vectors."""
+def feature_csv_lines(intervals, vectors):
+    """CSV `source_id,interval_index,label,kind,v0..v{d-1}`, one line per
+    interval and its vector (same kind throughout), the ids read from the
+    interval; the two lists must have the same length."""
     if not vectors:
         raise InputError("no feature vectors to export")
     kinds = {f.kind for f in vectors}
@@ -232,7 +220,7 @@ def feature_csv_lines(vectors):
     d = dims.pop()
     header = ",".join(f"v{i}" for i in range(d))
     lines = [f"source_id,interval_index,label,kind,{header}"]
-    for f in vectors:
+    for iv, f in zip(intervals, vectors, strict=True):
         vals = ",".join(repr(float(v)) for v in f.values)
-        lines.append(f"{f.source_id},{f.interval_index},{f.label or ''},{f.kind},{vals}")
+        lines.append(f"{iv.source_id},{iv.index},{f.label or ''},{f.kind},{vals}")
     return lines

@@ -152,8 +152,12 @@ def empty_handoff():
 
 @pytest.fixture(scope="session")
 def cli():
+    """Run the CLI in a fresh interpreter, where a numpy RuntimeWarning is an
+    error as it is in the tests themselves."""
+
     def _run(*args, env_extra=None):
         env = os.environ.copy()
+        env["PYTHONWARNINGS"] = "error::RuntimeWarning"
         if env_extra:
             env.update(env_extra)
         return subprocess.run(

@@ -6,6 +6,7 @@ import pytest
 from spsgmm.audio_io import (
     AudioSignal,
     decode_wav,
+    load_intervals,
     scan_corpus,
     segment_intervals,
     write_wav,
@@ -162,6 +163,60 @@ class TestSegmentIntervals:
         assert ivs[0].samples.size == 500
 
 
+class TestLoadIntervals:
+    @pytest.fixture
+    def folder(self, tmp_path):
+        rng = np.random.default_rng(8)
+        d = tmp_path / "in"
+        d.mkdir()
+        for name, seconds in (("b.wav", 1), ("a.wav", 2)):
+            write_wav(d / name, rng.uniform(-0.5, 0.5, seconds * SR), SR)
+        (d / "0-sub").mkdir()  # not a file, so ignored
+        write_wav(d / "0-sub" / "c.wav", rng.uniform(-0.5, 0.5, SR), SR)
+        return d
+
+    def test_file_gives_unlabelled_ids(self, folder):
+        intervals, skipped = load_intervals(folder / "a.wav", 1.0)
+        assert [(iv.source_id, iv.index, iv.label) for iv in intervals] == [
+            ("a.wav", 0, None),
+            ("a.wav", 1, None),
+        ]
+        assert skipped == []
+
+    def test_directory_in_name_order(self, folder):
+        intervals, skipped = load_intervals(folder, 1.0)
+        assert [(iv.source_id, iv.index) for iv in intervals] == [
+            ("a.wav", 0),
+            ("a.wav", 1),
+            ("b.wav", 0),
+        ]
+        assert skipped == []
+        np.testing.assert_array_equal(
+            intervals[2].samples, decode_wav(folder / "b.wav").samples
+        )
+
+    def test_labelled_ids(self, folder):
+        intervals, _ = load_intervals(folder, 1.0, label="music")
+        assert [(iv.source_id, iv.label) for iv in intervals] == [
+            ("music/a.wav", "music"),
+            ("music/a.wav", "music"),
+            ("music/b.wav", "music"),
+        ]
+
+    def test_files_without_intervals_are_skipped_with_reasons(self, folder):
+        (folder / "c.wav").write_bytes(b"not audio")
+        intervals, skipped = load_intervals(folder, 1.5)
+        assert [(iv.source_id, iv.index) for iv in intervals] == [("a.wav", 0)]
+        assert skipped == [
+            (str(folder / "b.wav"), "signal of 22050 samples is shorter than one 33075-sample interval"),
+            (str(folder / "c.wav"), "RIFF header: truncated (wanted 12 bytes, got 9)"),
+        ]
+
+    def test_missing_path_is_error(self, tmp_path):
+        with pytest.raises(InputError, match="no such file or directory"):
+            load_intervals(tmp_path / "ghost.wav", 1.0)
+
+
 class TestScanCorpus:
     def test_labels_order_and_counts(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -214,6 +269,22 @@ class TestScanCorpus:
         write_wav(tmp_path / "speech" / "ok.wav", rng.uniform(-0.5, 0.5, SR), SR)
         with pytest.raises(InputError, match="music"):
             scan_corpus(tmp_path / "speech", tmp_path / "music", 1.0)
+
+    def test_empty_class_error_lists_its_skipped_files(self, tmp_path):
+        rng = np.random.default_rng(9)
+        for d in ("speech", "music"):
+            (tmp_path / d).mkdir()
+        write_wav(tmp_path / "speech" / "short.wav", rng.uniform(-0.5, 0.5, SR), SR)
+        (tmp_path / "speech" / "notes.txt").write_text("not audio")
+        write_wav(tmp_path / "music" / "long.wav", rng.uniform(-0.5, 0.5, 3 * SR), SR)
+        with pytest.raises(InputError) as err:
+            scan_corpus(tmp_path / "speech", tmp_path / "music", 2.0)
+        assert str(err.value).splitlines() == [
+            "no usable intervals for class 'speech'",
+            f"  {tmp_path / 'speech' / 'notes.txt'}: RIFF header: truncated (wanted 12 bytes, got 9)",
+            f"  {tmp_path / 'speech' / 'short.wav'}: signal of 22050 samples is shorter than one "
+            "44100-sample interval",
+        ]
 
     def test_missing_directory_is_error(self, tmp_path):
         with pytest.raises(InputError, match="not a directory"):

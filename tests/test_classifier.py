@@ -41,14 +41,8 @@ from spsgmm.sps_features import FeatureVector
 
 def fvs(X, label, kind="sps_p"):
     return [
-        FeatureVector(
-            kind=kind,
-            values=np.asarray(row, np.float64),
-            label=label,
-            source_id=f"{label}-{i}",
-            interval_index=0,
-        )
-        for i, row in enumerate(X)
+        FeatureVector(kind=kind, values=np.asarray(row, np.float64), label=label)
+        for row in X
     ]
 
 
@@ -655,8 +649,8 @@ class TestLateFusion:
             ]
             models[kind] = fit_gmm(train, K=K, seed=j)
             test[kind] = as_rows([
-                FeatureVector(kind=kind, values=f.values, source_id="t", interval_index=i)
-                for i, f in enumerate(blobs(50 + j, 30, d=d, sep=2.0))
+                FeatureVector(kind=kind, values=f.values)
+                for f in blobs(50 + j, 30, d=d, sep=2.0)
             ])
         return models, test
 
@@ -802,4 +796,36 @@ class TestModelFormat:
         bad = self._corrupted(text, how)
         assert bad != text
         with pytest.raises(InputError, match=match):
+            model_from_text(bad)
+
+    @staticmethod
+    def _with_value(text, block, value):
+        """text with the first number of the block (the speech class's, for
+        a class block) set to value, and the block's name in the error."""
+        lines = text.splitlines()
+        if block in ("means", "vars"):  # the first row under the block line
+            i, j = lines.index(block) + 1, 0
+        else:
+            i, j = next(i for i, line in enumerate(lines) if line.startswith(block + " ")), 1
+        tokens = lines[i].split(" ")
+        tokens[j] = value
+        lines[i] = " ".join(tokens)
+        where = "standardizer" if block in ("mean", "std") else "class speech"
+        return "\n".join(lines) + "\n", f"model file {where} {block}: "
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("block", ["mean", "std", "log_prior", "weights", "means", "vars"])
+    def test_non_finite_values_refused(self, block, value):
+        text = model_to_text(fit_gmm(blobs(24, 30), K=2, seed=5))
+        bad, name = self._with_value(text, block, value)
+        assert bad != text
+        with pytest.raises(InputError, match=name + "non-finite value"):
+            model_from_text(bad)
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("block", ["std", "weights", "vars"])
+    def test_non_positive_values_refused(self, block, value):
+        text = model_to_text(fit_gmm(blobs(24, 30), K=2, seed=5))
+        bad, name = self._with_value(text, block, value)
+        with pytest.raises(InputError, match=name + "value not above 0"):
             model_from_text(bad)

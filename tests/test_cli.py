@@ -5,6 +5,7 @@ static check that every command reads every flag it accepts."""
 import argparse
 import ast
 import inspect
+import shutil
 
 import numpy as np
 import pytest
@@ -75,6 +76,19 @@ class TestExtract:
         assert r.returncode == 2
         assert "error:" in r.stderr
         assert not out.exists()
+
+    def test_refused_files_of_a_directory_are_named(self, cli, corpus_dirs, tmp_path):
+        d = tmp_path / "in"
+        d.mkdir()
+        for name in ("sp00.wav", "sp01.wav", "sp02.wav"):
+            shutil.copy(corpus_dirs[0] / name, d / name)
+        (d / "notes.txt").write_text("not audio")
+        r = cli("extract", d, "--p", 2, "--out", tmp_path / "feats.csv")
+        assert r.returncode == 2
+        assert r.stderr == (
+            f"error: {d / 'notes.txt'}: RIFF header: truncated (wanted 12 bytes, got 9)\n"
+        )
+        assert r.stdout == "" and list(tmp_path.iterdir()) == [d]
 
     def test_missing_output_dir_is_named(self, cli, speech_wav, tmp_path):
         out = tmp_path / "missing_dir" / "feat.csv"
@@ -218,6 +232,17 @@ class TestPredict:
     def test_missing_model_exits_2(self, cli, speech_wav, tmp_path):
         r = cli("predict", tmp_path / "ghost.model", speech_wav)
         assert r.returncode == 2
+
+    def test_non_finite_model_value_exits_2(self, cli, model_path, speech_wav, tmp_path):
+        lines = model_path.read_text().splitlines()
+        i = lines.index("vars") + 1  # the speech class's first row
+        lines[i] = "nan " + lines[i].split(" ", 1)[1]
+        bad = tmp_path / "bad.model"
+        bad.write_text("\n".join(lines) + "\n")
+        r = cli("predict", bad, speech_wav, "--p", 3)
+        assert r.returncode == 2
+        assert "error: model file class speech vars: non-finite value" in r.stderr
+        assert r.stdout == ""
 
     def test_malformed_model_exits_2(self, cli, model_path, speech_wav, tmp_path):
         bad = tmp_path / "bad.model"
@@ -392,7 +417,21 @@ class TestInspect:
     def test_interval_index_out_of_range(self, cli, speech_wav, tmp_path):
         r = cli("inspect", speech_wav, "--interval-index", 99, "--out", tmp_path)
         assert r.returncode == 2
-        assert "out of range" in r.stderr
+        assert "interval index 99 out of range (input has 3)" in r.stderr
+
+    def test_directory_counts_intervals_across_files(self, cli, corpus_dirs, tmp_path):
+        d = tmp_path / "in"
+        d.mkdir()
+        for name in ("sp00.wav", "sp01.wav"):
+            shutil.copy(corpus_dirs[0] / name, d / name)
+        (d / "sub").mkdir()
+        r = cli("inspect", d, "--p", 3, "--interval-index", 4, "--out", tmp_path / "dir")
+        assert r.returncode == 0, r.stderr
+        own = d / "sp01.wav"
+        r = cli("inspect", own, "--p", 3, "--interval-index", 1, "--out", tmp_path / "file")
+        assert r.returncode == 0, r.stderr
+        for name in ("spectrogram.csv", "sps.csv"):
+            assert (tmp_path / "dir" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
 class TestUsage:
@@ -417,6 +456,19 @@ class TestUsage:
         assert r.returncode == 2
         assert "bad --k-grid 'two'" in r.stderr
         assert "not a directory" not in r.stderr
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_empty_class_names_its_skipped_files(self, cli, corpus_dirs, tmp_path, command):
+        r = cli(command, *corpus_dirs, "--interval-ms", 5000, "--out", tmp_path / "out")
+        assert r.returncode == 2
+        assert "error: no usable intervals for class 'speech'" in r.stderr
+        for i in range(6):
+            path = corpus_dirs[0] / f"sp{i:02d}.wav"
+            assert (
+                f"  {path}: signal of 66150 samples is shorter than one "
+                "110250-sample interval\n"
+            ) in r.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "0"])
     @pytest.mark.parametrize("command", ["extract", "inspect", "train"])

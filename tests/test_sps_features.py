@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
+from spsgmm.audio_io import AudioInterval
 from spsgmm.errors import ConfigError, InputError
+from spsgmm.spectral import frame_interval, make_frame_config
 from spsgmm.sps_features import (
     FeatureVector,
     SpsAttributes,
@@ -105,6 +107,17 @@ class TestComputeAttributes:
             compute_attributes(S)
         S[0, ::2] = hi - 1
         compute_attributes(S)
+
+    @pytest.mark.parametrize("rate, n", [(16000, 1458), (22050, 1500)])
+    def test_autocorrelation_fft_length_is_5_smooth(self, monkeypatch, rate, n):
+        # 1 s at 30 ms / 1 ms: L = 971 (16 kHz) or 973 (22050 Hz) frames, so
+        # L + lag cap = 1457 or 1460, and the next 5-smooth lengths are these
+        cfg = make_frame_config(rate, 30.0, 1.0)
+        L = frame_interval(np.zeros(rate), cfg).shape[0]
+        lengths, rfft = [], np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda a, n: lengths.append(n) or rfft(a, n))
+        compute_attributes(np.zeros((2, L), np.int64))
+        assert lengths == [n]
 
     def test_lag_cap_even_odd(self):
         assert lag_cap(4) == 2
@@ -224,10 +237,10 @@ class TestSpsPeriodicity:
 
     def test_kind_and_dim(self):
         S = np.random.default_rng(1).integers(0, 331, (6, 12))
-        vec = sps_periodicity(compute_attributes(S), label="music", source_id="x")
+        vec = sps_periodicity(compute_attributes(S), label="music")
         assert vec.kind == "sps_p"
         assert vec.values.shape == (6,)
-        assert (vec.label, vec.source_id) == ("music", "x")
+        assert vec.label == "music"
 
 
 class TestSpsZcr:
@@ -329,11 +342,10 @@ class TestOracleAgreement:
 
 
 class TestEarlyFuse:
-    def _vectors(self, p=2, index=0):
-        prov = {"label": "speech", "source_id": "s", "interval_index": index}
-        fp = FeatureVector(kind="sps_p", values=np.arange(p, dtype=float), **prov)
-        fz = FeatureVector(kind="sps_zcr", values=np.arange(p, 2 * p, dtype=float), **prov)
-        fs = FeatureVector(kind="sps_scg", values=np.arange(2 * p, 5 * p, dtype=float), **prov)
+    def _vectors(self, p=2):
+        fp = FeatureVector(kind="sps_p", values=np.arange(p, dtype=float), label="speech")
+        fz = FeatureVector(kind="sps_zcr", values=np.arange(p, 2 * p, dtype=float), label="speech")
+        fs = FeatureVector(kind="sps_scg", values=np.arange(2 * p, 5 * p, dtype=float), label="speech")
         return fp, fz, fs
 
     def test_concatenation_order(self):
@@ -341,17 +353,11 @@ class TestEarlyFuse:
         fused = early_fuse(fp, fz, fs)
         assert fused.kind == "early_fused"
         np.testing.assert_array_equal(fused.values, np.arange(10, dtype=float))
-        assert (fused.label, fused.source_id, fused.interval_index) == ("speech", "s", 0)
+        assert fused.label == "speech"
 
     def test_dimension_rule(self):
         assert feature_dim("early_fused", 20) == 100
         assert [feature_dim(k, 20) for k in ("sps_p", "sps_zcr", "sps_scg")] == [20, 20, 60]
-
-    def test_provenance_mismatch_is_error(self):
-        fp, fz, _ = self._vectors()
-        _, _, fs = self._vectors(index=1)
-        with pytest.raises(InputError, match="provenance"):
-            early_fuse(fp, fz, fs)
 
     def test_wrong_kind_order_is_error(self):
         fp, fz, fs = self._vectors()
@@ -370,13 +376,19 @@ class TestFeatureVectorValidation:
 
 
 class TestCsvExports:
+    @staticmethod
+    def _intervals(*ids):
+        return [
+            AudioInterval(samples=np.zeros(4), sample_rate=4, source_id=s, index=i)
+            for s, i in ids
+        ]
+
     def test_feature_csv(self):
         vecs = [
-            FeatureVector(kind="sps_p", values=np.array([1.5, 2.5]), label="speech",
-                          source_id="a.wav", interval_index=3),
+            FeatureVector(kind="sps_p", values=np.array([1.5, 2.5]), label="speech"),
             FeatureVector(kind="sps_p", values=np.array([0.0, 1.0])),
         ]
-        lines = feature_csv_lines(vecs)
+        lines = feature_csv_lines(self._intervals(("a.wav", 3), ("", 0)), vecs)
         assert lines[0] == "source_id,interval_index,label,kind,v0,v1"
         assert lines[1] == "a.wav,3,speech,sps_p,1.5,2.5"
         assert lines[2] == ",0,,sps_p,0.0,1.0"
@@ -387,7 +399,12 @@ class TestCsvExports:
             FeatureVector(kind="sps_zcr", values=np.zeros(2)),
         ]
         with pytest.raises(InputError, match="mixed"):
-            feature_csv_lines(vecs)
+            feature_csv_lines(self._intervals(("a.wav", 0), ("a.wav", 1)), vecs)
+
+    def test_feature_csv_rejects_fewer_intervals_than_vectors(self):
+        vecs = [FeatureVector(kind="sps_p", values=np.zeros(2))] * 2
+        with pytest.raises(ValueError, match="longer than argument 1"):
+            feature_csv_lines(self._intervals(("a.wav", 0)), vecs)
 
     def test_distribution_csv(self):
         rng = np.random.default_rng(3)
