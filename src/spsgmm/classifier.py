@@ -593,6 +593,12 @@ def model_from_text(text):
             raise InputError(f"model file {name}: non-finite value")
         if name.endswith(("std", "weights", "vars")) and not (values > 0).all():
             raise InputError(f"model file {name}: value not above 0")
+    # EM divides the weights by their sum, which leaves them within a few ulps
+    # per component of summing to 1
+    for lab, c in classes.items():
+        total = math.fsum(c["weights"])
+        if abs(total - 1.0) > 4 * c["weights"].size * np.finfo(np.float64).eps:
+            raise InputError(f"model file class {lab} weights: sum {total!r} is not 1")
     mixes = {
         lab: Mixture(
             weights=c["weights"],

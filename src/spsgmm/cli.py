@@ -261,6 +261,8 @@ def cmd_evaluate(args):
 
 
 def cmd_inspect(args):
+    if args.p < 1:  # inspect needs no sps_scg, so one row will do
+        raise InputError(f"p must be >= 1, got {args.p}")
     intervals = _load_intervals(args.input, _interval_s(args))
     if not 0 <= args.interval_index < len(intervals):
         raise InputError(

@@ -6,6 +6,11 @@ lower bin); frames with fewer than p peaks repeat the weakest selected peak's
 bin to keep the matrix rectangular, and every column is sorted so row 0 holds
 the highest frequencies.  Row r of the resulting p x L matrix, read across
 frames, is one spectral peak sequence.
+
+All frames of an interval are ranked at once, by one plain sort of integer
+keys that order peaks by amplitude and then by lower bin; a frame whose
+leading keys tie in their amplitude bits is ranked again by a stable argsort
+of its full amplitudes.
 """
 
 from dataclasses import dataclass
@@ -25,20 +30,34 @@ class PeakSequenceMatrix:
 
 
 def interior_maxima(v):
-    """Mask over v[..., 1:-1]: True where a value is above both neighbours
-    along the last axis.  Endpoints never qualify, so fewer than 3 values give
-    an empty mask."""
-    mid = v[..., 1:-1]
-    return (mid > v[..., :-2]) & (mid > v[..., 2:])
+    """Mask over a 2-D array v: True where a value is above both neighbours
+    in its row.  The first and last columns never qualify, so rows of fewer
+    than 3 values have no maximum.  Each comparison is one pass over the
+    flattened array, faster than one over row slices; the pairs that
+    straddle two rows only decide those first and last columns, which are
+    then cleared."""
+    v = np.ascontiguousarray(v)
+    mask = np.empty(v.shape, bool)
+    flat, x = mask.reshape(-1), v.reshape(-1)
+    np.greater(x[1:-1], x[:-2], out=flat[1:-1])
+    flat[1:-1] &= x[1:-1] > x[2:]
+    mask[:, :1] = False
+    mask[:, -1:] = False
+    return mask
 
 
 def build_peak_matrix(mags, p):
     """Peak matrix for a whole interval from its (L, n_bins) magnitudes.
 
-    All frames are ranked at once: each frame's peaks are packed, in bin
-    order, into one row of an (L, most peaks in a frame) array, and one
-    stable argsort per row puts the strongest first and, among equal
-    amplitudes, the lower bin first."""
+    All frames are ranked at once.  Each peak becomes one uint64 key: the
+    order-preserving image of its amplitude whose low b bits are replaced by
+    the tag n_bins - 1 - bin, so a larger key means a larger amplitude or,
+    where the amplitude bits tie, the lower bin.  The keys are packed, in
+    bin order, into one row per frame of an (L, most peaks in a frame) array
+    whose empty slots read 0, and one plain sort per row ranks them.  Equal
+    amplitude bits can hide amplitudes that differ in their low b bits, so a
+    frame with such a tie among its first p + 1 keys is ranked again by a
+    stable argsort of its full amplitudes."""
     mags = np.ascontiguousarray(mags, np.float64)
     if mags.ndim != 2:
         raise InputError(f"expected a 2-D magnitude array, got shape {mags.shape}")
@@ -47,25 +66,50 @@ def build_peak_matrix(mags, p):
         raise InputError(f"need at least 2 spectra, got {L}")
     if p < 1:
         raise InputError(f"p must be >= 1, got {p}")
-    is_peak = interior_maxima(mags)
-    # one flat nonzero and a divmod are faster than the 2-D nonzero
-    rows, ks = np.divmod(np.flatnonzero(is_peak), is_peak.shape[1])
-    ks += 1  # mask column -> bin
-    counts = np.bincount(rows, minlength=L)
-    slot = np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]  # index within its frame
+    at = np.flatnonzero(interior_maxima(mags))  # frame * n_bins + bin, bins ascending
+    counts = np.diff(np.searchsorted(at, np.arange(L + 1) * n_bins))  # peaks per frame
+    amps = mags.reshape(-1)[at] + 0.0  # + 0.0 turns -0.0 into 0.0
+    # flip the sign bit of a positive amplitude and every bit of a negative one
+    s = amps.view(np.int64)
+    keys = s ^ ((s >> 63) | np.iinfo(np.int64).min)
+    b = (n_bins - 2).bit_length()  # the low bits hold the tag, at most n_bins - 2
+    tag_bits = np.uint64((1 << b) - 1)
+    keys &= -1 << b
+    keys |= np.repeat(np.arange(1, L + 1) * n_bins - 1, counts) - at  # tag, at least 1
     width = max(int(counts.max()), 1)
-    # a peak exceeds a neighbour, so its negated amplitude is below inf: pads sort last
-    neg = np.full((L, width), np.inf)
-    neg[rows, slot] = -mags[rows, ks]
-    bins = np.zeros((L, width), np.int64)  # pads read 0, a peakless frame's bin
-    bins[rows, slot] = ks
-    order = np.argsort(neg, axis=1, kind="stable")[:, :p]
+    packed = np.zeros((L, width), np.uint64)  # empty slots read 0, below every key
+    packed[np.arange(width) < counts[:, None]] = keys.view(np.uint64)
+    packed.sort(axis=1)
+    ranked = packed[:, ::-1]  # strongest first
+    k = min(p + 1, width)
+    top = np.zeros((L, p + 1), np.uint64)
+    top[:, :k] = ranked[:, :k]
+    high = top >> b
+    tied = np.flatnonzero(((high[:, 1:] == high[:, :-1]) & (top[:, 1:] != 0)).any(axis=1))
+    if tied.size:
+        top[tied, :k] = _rank_exactly(mags, tied, ranked[tied], tag_bits)[:, :k]
     # slots past a frame's peak count repeat its weakest chosen peak
-    take = np.minimum(np.arange(p), np.clip(counts, 1, p)[:, None] - 1)
-    chosen = np.take_along_axis(bins, np.take_along_axis(order, take, axis=1), axis=1)
-    data = np.ascontiguousarray(np.sort(chosen, axis=1)[:, ::-1].T)
-    peakless = int(np.count_nonzero(counts == 0))
-    return PeakSequenceMatrix(data=data, p=p, L=L, n_f=n_bins, peakless_frames=peakless)
+    chosen = top[:, :p]
+    weakest = chosen[np.arange(L), np.clip(counts, 1, p) - 1]
+    chosen = np.where(chosen == 0, weakest[:, None], chosen)
+    tags = np.sort(chosen & tag_bits, axis=1)  # ascending tag: descending bin
+    data = np.ascontiguousarray(tags.T, np.int64)
+    np.subtract(n_bins - 1, data, out=data)
+    peakless = counts == 0
+    data[:, peakless] = 0  # a peakless frame's column reads 0
+    return PeakSequenceMatrix(
+        data=data, p=p, L=L, n_f=n_bins, peakless_frames=int(np.count_nonzero(peakless))
+    )
+
+
+def _rank_exactly(mags, frames, keys, tag_bits):
+    """Rows of descending keys, one per frame in `frames`, put in the order
+    of a stable argsort of the frame's full negated amplitudes: strongest
+    first, equal amplitudes keep their lower-bin-first order, empty slots
+    (key 0) last."""
+    bins = mags.shape[1] - 1 - (keys & tag_bits).astype(np.int64)
+    neg = np.where(keys != 0, -mags[frames[:, None], bins], np.inf)
+    return np.take_along_axis(keys, np.argsort(neg, axis=1, kind="stable"), axis=1)
 
 
 def sps_csv_lines(m):

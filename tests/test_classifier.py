@@ -829,3 +829,30 @@ class TestModelFormat:
         bad, name = self._with_value(text, block, value)
         with pytest.raises(InputError, match=name + "value not above 0"):
             model_from_text(bad)
+
+    @pytest.mark.parametrize("K,weights", [(1, "5"), (2, "0.5 0.6"), (2, "0.25 0.25")])
+    def test_weights_not_summing_to_one_refused(self, K, weights):
+        text = model_to_text(fit_gmm(blobs(24, 30), K=K, seed=5))
+        lines = text.splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("weights "))  # speech
+        lines[i] = "weights " + weights
+        with pytest.raises(InputError, match="model file class speech weights: sum .* is not 1"):
+            model_from_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 8])
+    def test_fitted_weights_pass_the_sum_check(self, K):
+        for seed in range(6):
+            for X in (blobs(40 + seed, 30, d=3), blobs(50 + seed, 12 * K, d=6, sep=0.5)):
+                model = fit_gmm(X, K=K, seed=seed)
+                back = model_from_text(model_to_text(model))
+                for label in LABELS:
+                    np.testing.assert_array_equal(back.classes[label].weights, model.classes[label].weights)
+
+    def test_grid_searched_models_on_corpus_features_load(self, feature_cache):
+        cache, _ = feature_cache
+        for kind in ("sps_p", "sps_zcr", "sps_scg"):
+            rows = as_rows([v[kind] for v in cache.values()])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an infeasible K is skipped
+                model = grid_search(rows, [1, 2, 3, 4], seed=3)
+            model_from_text(model_to_text(model))

@@ -244,6 +244,17 @@ class TestPredict:
         assert "error: model file class speech vars: non-finite value" in r.stderr
         assert r.stdout == ""
 
+    def test_weights_off_the_simplex_exit_2(self, cli, model_path, speech_wav, tmp_path):
+        lines = model_path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("weights "))  # speech
+        lines[i] = "weights " + " ".join(repr(5 * float(w)) for w in lines[i].split()[1:])
+        bad = tmp_path / "bad.model"
+        bad.write_text("\n".join(lines) + "\n")
+        r = cli("predict", bad, speech_wav, "--p", 3)
+        assert r.returncode == 2
+        assert "error: model file class speech weights: sum 5.0 is not 1" in r.stderr
+        assert r.stdout == ""
+
     def test_malformed_model_exits_2(self, cli, model_path, speech_wav, tmp_path):
         bad = tmp_path / "bad.model"
         bad.write_text(model_path.read_text().replace("means\n", "means\nnot-a-number\n", 1))
@@ -413,6 +424,22 @@ class TestInspect:
         assert r.returncode == 0, r.stderr
         assert len((tmp_path / "sps.csv").read_text().splitlines()) == 1 + 973
         assert len((tmp_path / "dist_zcr.csv").read_text().splitlines()) == 1 + 20
+
+    def test_p_checked_before_reading_the_input(self, cli, speech_wav, tmp_path):
+        out = tmp_path / "out"
+        r = cli("inspect", tmp_path / "missing.wav", "--p", 0, "--out", out)
+        assert r.returncode == 2
+        assert "p must be >= 1, got 0" in r.stderr and "missing.wav" not in r.stderr
+        assert not out.exists()
+
+    def test_p_checked_before_decoding(self, speech_wav, tmp_path, monkeypatch, capsys):
+        decoded = []
+        monkeypatch.setattr(spsgmm_cli.audio_io, "decode_wav", decoded.append)
+        out = tmp_path / "out"
+        assert spsgmm_cli.main(["inspect", str(speech_wav), "--p", "0", "--out", str(out)]) == 2
+        assert "error: p must be >= 1, got 0" in capsys.readouterr().err
+        assert decoded == []
+        assert not out.exists()
 
     def test_interval_index_out_of_range(self, cli, speech_wav, tmp_path):
         r = cli("inspect", speech_wav, "--interval-index", 99, "--out", tmp_path)

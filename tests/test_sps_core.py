@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+from spsgmm import sps_core
 from spsgmm.errors import InputError
 from spsgmm.sps_core import build_peak_matrix, sps_csv_lines
 from spsgmm.spectral import (
@@ -235,10 +236,133 @@ class TestBuildPeakMatrix:
         cfg = make_frame_config(rate, 30.0, 1.0)
         mags = magnitude_spectra(frame_interval(sig, cfg), cfg)
         assert mags.shape == shape
-        m = build_peak_matrix(mags, p)
+        m, reranked = _with_reranked(mags, p)
+        assert reranked == []  # the key sort alone ranks real spectra
         _assert_layout(m, p, shape[0])
         rows, peakless = oracles.build_matrix(mags.tolist(), p)
         np.testing.assert_array_equal(m.data, rows)
+        assert m.peakless_frames == peakless
+
+
+def _with_reranked(mags, p):
+    """build_peak_matrix(mags, p) and the frames it ranked again by their
+    full amplitudes, in call order."""
+    reranked = []
+    real = sps_core._rank_exactly
+
+    def spy(mags, frames, *rest):
+        reranked.extend(frames.tolist())
+        return real(mags, frames, *rest)
+
+    sps_core._rank_exactly = spy
+    try:
+        return build_peak_matrix(mags, p), reranked
+    finally:
+        sps_core._rank_exactly = real
+
+
+def _ulps(base, steps):
+    """base moved up by each number of ulps in steps."""
+    return (np.float64(base).view(np.int64) + np.asarray(steps, np.int64)).view(np.float64)
+
+
+def _tag_bits(n_bins):
+    """The low key bits that carry the bin: enough for n_bins - 2."""
+    return (n_bins - 2).bit_length()
+
+
+class TestRankingKeys:
+    """Amplitudes that the truncated uint64 keys cannot tell apart: each
+    frame must match the oracle, and frames whose first p + 1 keys tie in
+    their amplitude bits must go through the exact re-rank."""
+
+    def _check(self, rows, p, reranked_frames):
+        mags = np.array(rows, np.float64)
+        m, reranked = _with_reranked(mags, p)
+        want, peakless = oracles.build_matrix(mags.tolist(), p)
+        np.testing.assert_array_equal(m.data, want)
+        assert m.peakless_frames == peakless
+        assert reranked == reranked_frames
+        return m.data
+
+    def test_amplitudes_differing_in_low_bits(self):
+        # n_bins = 16: 4 tag bits, so 1.0 and the next 15 doubles share a key
+        # apart from their tags, and the tags alone would rank bin 1 first
+        assert _tag_bits(16) == 4
+        up = np.zeros(16)
+        up[[1, 3, 5, 7]] = _ulps(1.0, [0, 1, 2, 3])
+        down = np.zeros(16)
+        down[[1, 3, 5, 7]] = _ulps(1.0, [3, 2, 1, 0])
+        data = self._check([up, down, up], 1, [0, 1, 2])
+        np.testing.assert_array_equal(data, [[7, 1, 7]])
+        # two peaks p = 2 picks out of four, and its weakest one, by full amplitude
+        data = self._check([up, down], 2, [0, 1])
+        np.testing.assert_array_equal(data, [[7, 3], [5, 1]])
+
+    def test_amplitudes_one_tag_step_apart_are_not_reranked(self):
+        up = np.zeros(16)
+        up[[1, 3, 5]] = _ulps(1.0, [0, 16, 32])
+        data = self._check([up, up], 2, [])
+        np.testing.assert_array_equal(data, [[5, 5], [3, 3]])
+
+    def test_signed_zero_peaks_tie(self):
+        # -0.0 == 0.0, so the lower bin wins whichever of the two it holds
+        a = [-1.0, -0.0, -1.0, 0.0, -1.0, -0.5, -1.0]
+        b = [-1.0, 0.0, -1.0, -0.0, -1.0, -0.5, -1.0]
+        data = self._check([a, b], 1, [0, 1])
+        np.testing.assert_array_equal(data, [[1, 1]])
+        data = self._check([a, b], 2, [0, 1])
+        np.testing.assert_array_equal(data, [[3, 3], [1, 1]])
+
+    def test_subnormal_and_infinite_peaks(self):
+        tiny = np.nextafter(0.0, 1.0)  # the smallest subnormal, one ulp above 0.0
+        big = np.finfo(np.float64).max
+        row = [-1.0, 0.0, -1.0, tiny, -1.0, np.inf, -1.0, 1e-310, -1.0, big, -1.0]
+        data = self._check([row, row[::-1]], 4, [0, 1])
+        # inf, the largest double, 1e-310 and then the subnormal above 0.0
+        np.testing.assert_array_equal(data.T, [[9, 7, 5, 3], [7, 5, 3, 1]])
+        data = self._check([row, row[::-1]], 2, [])
+        np.testing.assert_array_equal(data, [[9, 5], [5, 1]])
+
+    @pytest.mark.parametrize("n_bins", [6, 10, 18, 34, 258])
+    def test_tag_width_at_a_power_of_two(self, n_bins):
+        # n_bins - 2 = 2**m takes m + 1 tag bits; bin 1 carries the largest tag
+        b = _tag_bits(n_bins)
+        assert n_bins - 2 == 1 << (b - 1)
+        rows = []
+        for steps in ([0, 1], [1, 0], [0, 0], [0, 1 << b]):
+            row = np.zeros(n_bins)
+            row[[1, n_bins - 2]] = _ulps(1.0, steps)
+            rows.append(row)
+        data = self._check(rows, 1, [0, 1, 2])
+        np.testing.assert_array_equal(data, [[n_bins - 2, 1, 1, n_bins - 2]])
+
+    def test_fewer_peaks_than_p_with_tied_weakest(self):
+        rows = [
+            [0, 3, 0, 2, 0, 2, 0],  # equal: the higher bin is the weaker
+            [0, 3, 0, 2, 0, _ulps(2.0, 1), 0],  # bin 3 is one ulp weaker
+            [0, 3, 0, _ulps(2.0, 1), 0, 2, 0],  # bin 5 is one ulp weaker
+        ]
+        data = self._check(rows, 5, [0, 1, 2])
+        np.testing.assert_array_equal(data.T, [[5, 5, 5, 3, 1], [5, 3, 3, 3, 1], [5, 5, 5, 3, 1]])
+
+    @given(
+        L=st.integers(2, 6),
+        n_bins=st.integers(3, 70),
+        p=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_near_ties_match_oracle(self, L, n_bins, p, seed, sign):
+        # peaks on odd bins, a few ulps apart, around 1 or -1
+        rng = np.random.default_rng(seed)
+        mags = np.full((L, n_bins), sign - 2.0)
+        odd = np.arange(1, n_bins - 1, 2)
+        spread = 1 << (_tag_bits(n_bins) + 1)
+        mags[:, odd] = _ulps(sign, rng.integers(0, spread, (L, odd.size)))
+        m, _ = _with_reranked(mags, p)
+        want, peakless = oracles.build_matrix(mags.tolist(), p)
+        np.testing.assert_array_equal(m.data, want)
         assert m.peakless_frames == peakless
 
 
