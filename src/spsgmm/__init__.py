@@ -13,7 +13,6 @@ stratified 70:30 splits and reports macro-F statistics.
 from .audio_io import (
     AudioInterval,
     AudioSignal,
-    ScanReport,
     decode_wav,
     load_intervals,
     scan_corpus,

@@ -1,8 +1,9 @@
 """WAV decoding, mono mixdown, and segmentation into analysis intervals.
 
 load_intervals is the one path from a WAV file or directory to intervals and
-their (source id, index), the feature cache's key; it reports each file that
-gives no interval, which scan_corpus skips and the CLI refuses."""
+their (source id, index), the feature cache's key.  It and scan_corpus, its
+form for a corpus of two class directories, return (intervals, skipped),
+where skipped names each file that gave no interval with its reason."""
 
 import os
 import struct
@@ -34,27 +35,6 @@ class AudioInterval:
     source_id: str
     index: int
     label: str | None = None  # "speech" | "music" | None
-
-
-@dataclass
-class ScanReport:
-    """What a corpus scan skipped and why, plus per-class tallies."""
-
-    skipped: list  # (path, reason)
-    n_files: dict  # label -> usable file count
-    n_intervals: dict  # label -> interval count
-
-    def render(self):
-        lines = [
-            f"files: speech={self.n_files.get('speech', 0)} "
-            f"music={self.n_files.get('music', 0)}",
-            f"intervals: speech={self.n_intervals.get('speech', 0)} "
-            f"music={self.n_intervals.get('music', 0)}",
-            f"skipped files: {len(self.skipped)}",
-        ]
-        for path, reason in self.skipped:
-            lines.append(f"  {path}: {reason}")
-        return "\n".join(lines) + "\n"
 
 
 def _read_exact(f, n, what):
@@ -213,26 +193,22 @@ def load_intervals(path, interval_s, label=None):
 
 
 def scan_corpus(speech_dir, music_dir, interval_s=1.0):
-    """Load every decodable file under the two class directories into labeled
-    intervals (lexicographic file order, then interval index), each with the
-    source id "<label>/<file name>" so equal file names in the two classes
-    stay distinct.  Undecodable files are skipped and recorded in the returned
-    ScanReport; a class ending up with zero usable intervals is an error that
-    lists the files of that class it skipped."""
+    """(intervals, skipped) of the two class directories: what load_intervals
+    gives for each with its label, speech first.  The source id
+    "<label>/<file name>" keeps equal file names of the two classes
+    distinct.  A class ending up with zero usable intervals is an error
+    that lists the files of that class it skipped."""
     for d in (speech_dir, music_dir):
         if not os.path.isdir(d):
             raise InputError(f"not a directory: {d}")
-    intervals = []
-    report = ScanReport(skipped=[], n_files={}, n_intervals={})
+    intervals, skipped = [], []
     for label, d in (("speech", speech_dir), ("music", music_dir)):
-        ivs, skipped = load_intervals(d, interval_s, label)
+        ivs, bad = load_intervals(d, interval_s, label)
         if not ivs:
             raise InputError(
                 f"no usable intervals for class {label!r}"
-                + "".join(f"\n  {f}: {reason}" for f, reason in skipped)
+                + "".join(f"\n  {f}: {reason}" for f, reason in bad)
             )
         intervals += ivs
-        report.skipped += skipped
-        report.n_files[label] = len({iv.source_id for iv in ivs})
-        report.n_intervals[label] = len(ivs)
-    return intervals, report
+        skipped += bad
+    return intervals, skipped

@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from . import audio_io, pipeline
+from . import audio_io, pipeline, spectral
 from ._util import atomic_write_text
 from .classifier import LABELS, as_rows, grid_search, load_model, save_model, score
 from .errors import ConfigError, DecodeError, FitError, InputError, SpsgmmError
@@ -25,7 +25,7 @@ from .evaluate import (
 )
 from .spectral import WINDOWS, spectrogram_csv_lines
 from .sps_core import sps_csv_lines
-from .sps_features import KINDS, distribution_csv_lines, feature_csv_lines
+from .sps_features import KINDS, distribution_csv_lines, feature_csv_lines, feature_dim
 
 _FEATURE_FLAG = {
     "sps-p": "sps_p",
@@ -123,8 +123,11 @@ def _pipeline_kwargs(args):
 
 
 def _interval_s(args):
+    """The interval length in seconds, once the interval, frame and hop
+    flags are known to be usable."""
     if not 0 < args.interval_ms < float("inf"):
         raise InputError(f"--interval-ms must be finite and above 0, got {args.interval_ms}")
+    spectral.check_frame(args.frame_ms, args.hop_ms)
     return args.interval_ms / 1000.0
 
 
@@ -138,12 +141,17 @@ def _parse_grid(text):
     return grid
 
 
+def _listing(skipped):
+    """One "path: reason" line per file that gave no interval."""
+    return "\n".join(f"{f}: {reason}" for f, reason in skipped)
+
+
 def _load_intervals(path, interval_s):
     """The intervals of a WAV file or directory, refusing every file that
     gives none with its reason."""
     intervals, skipped = audio_io.load_intervals(path, interval_s)
     if skipped:
-        raise InputError("\n".join(f"{f}: {reason}" for f, reason in skipped))
+        raise InputError(_listing(skipped))
     if not intervals:
         raise InputError(f"no files in directory {path}")
     return intervals
@@ -180,9 +188,9 @@ def cmd_extract(args):
 def cmd_train(args):
     pipeline.check_p(args.p)
     grid = _parse_grid(args.k_grid)
-    intervals, report = audio_io.scan_corpus(args.speech_dir, args.music_dir, _interval_s(args))
-    if report.skipped:
-        _note(report.render())
+    intervals, skipped = audio_io.scan_corpus(args.speech_dir, args.music_dir, _interval_s(args))
+    if skipped:
+        _note(f"skipped:\n{_listing(skipped)}")
     kind = _FEATURE_FLAG[args.feature]
     rows = as_rows(pipeline.vectors_of(_extract(intervals, args), intervals, kind))
     model = grid_search(rows, grid, args.seed)
@@ -195,10 +203,14 @@ def cmd_train(args):
 
 def cmd_predict(args):
     pipeline.check_p(args.p)
+    interval_s = _interval_s(args)
     model = load_model(args.model)
     if model.feature_kind not in KINDS:
         raise InputError(f"model feature kind {model.feature_kind!r} not extractable")
-    intervals = _load_intervals(args.input, _interval_s(args))
+    dim = feature_dim(model.feature_kind, args.p)
+    if dim != model.dim:
+        raise InputError(f"model expects dim {model.dim}, got {dim}")
+    intervals = _load_intervals(args.input, interval_s)
     vectors = pipeline.vectors_of(_extract(intervals, args), intervals, model.feature_kind)
     sc = score(model, as_rows(vectors))
     lines = ["source_id,interval_index,decision,margin,log_lik_speech,log_lik_music"]
@@ -223,12 +235,12 @@ def cmd_evaluate(args):
         seed=args.seed,
         split_unit=args.split_unit,
     )
-    intervals, scan = audio_io.scan_corpus(args.speech_dir, args.music_dir, _interval_s(args))
-    if scan.skipped:
-        _note(scan.render())
+    intervals, skipped = audio_io.scan_corpus(args.speech_dir, args.music_dir, _interval_s(args))
+    if skipped:
+        _note(f"skipped:\n{_listing(skipped)}")
     kinds = list(EVAL_KINDS) if args.feature == "all" else [_FEATURE_FLAG[args.feature]]
     cache, diag = pipeline.extract_corpus(intervals, **_pipeline_kwargs(args))
-    diag["skipped_files"] = len(scan.skipped)
+    diag["skipped_files"] = len(skipped)
     reports, failed = [], []
     for kind in kinds:
         try:
@@ -263,8 +275,10 @@ def cmd_evaluate(args):
 def cmd_inspect(args):
     if args.p < 1:  # inspect needs no sps_scg, so one row will do
         raise InputError(f"p must be >= 1, got {args.p}")
+    if args.interval_index < 0:
+        raise InputError(f"interval index must be >= 0, got {args.interval_index}")
     intervals = _load_intervals(args.input, _interval_s(args))
-    if not 0 <= args.interval_index < len(intervals):
+    if args.interval_index >= len(intervals):
         raise InputError(
             f"interval index {args.interval_index} out of range (input has {len(intervals)})"
         )

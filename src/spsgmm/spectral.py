@@ -35,12 +35,17 @@ class FrameConfig:
         return self.frame_len // 2
 
 
+def check_frame(frame_ms, hop_ms):
+    """Refuse frame and hop durations that make_frame_config cannot use."""
+    if not np.inf > frame_ms > hop_ms > 0:
+        raise ConfigError(f"need finite frame_ms > hop_ms > 0, got {frame_ms}/{hop_ms}")
+
+
 def make_frame_config(sample_rate, frame_ms, hop_ms, window="rect"):
     """Frame/hop lengths in samples from durations in milliseconds.  The
     frame length is rounded to the nearest sample and bumped up to the next
     even number so the half-spectrum size n_f is well defined."""
-    if not np.inf > frame_ms > hop_ms > 0:
-        raise ConfigError(f"need finite frame_ms > hop_ms > 0, got {frame_ms}/{hop_ms}")
+    check_frame(frame_ms, hop_ms)
     frame_len = round(frame_ms * sample_rate / 1000)
     if frame_len % 2:
         frame_len += 1

@@ -117,8 +117,8 @@ def corpus_dirs(tmp_path_factory):
 def corpus_intervals(corpus_dirs):
     from spsgmm.audio_io import scan_corpus
 
-    intervals, report = scan_corpus(*corpus_dirs, 1.0)
-    assert not report.skipped
+    intervals, skipped = scan_corpus(*corpus_dirs, 1.0)
+    assert not skipped
     return intervals
 
 

@@ -225,16 +225,39 @@ class TestScanCorpus:
         for name in ("b.wav", "a.wav"):
             write_wav(tmp_path / "speech" / name, rng.uniform(-0.5, 0.5, int(2.5 * SR)), SR)
         write_wav(tmp_path / "music" / "c.wav", rng.uniform(-0.5, 0.5, SR), SR)
-        intervals, report = scan_corpus(tmp_path / "speech", tmp_path / "music", 1.0)
-        speech = [iv for iv in intervals if iv.label == "speech"]
-        assert [(iv.source_id, iv.index) for iv in speech] == [
-            ("speech/a.wav", 0),
-            ("speech/a.wav", 1),
-            ("speech/b.wav", 0),
-            ("speech/b.wav", 1),
+        intervals, skipped = scan_corpus(tmp_path / "speech", tmp_path / "music", 1.0)
+        assert [(iv.source_id, iv.index, iv.label) for iv in intervals] == [
+            ("speech/a.wav", 0, "speech"),
+            ("speech/a.wav", 1, "speech"),
+            ("speech/b.wav", 0, "speech"),
+            ("speech/b.wav", 1, "speech"),
+            ("music/c.wav", 0, "music"),
         ]
-        assert report.n_intervals == {"speech": 4, "music": 1}
-        assert report.n_files == {"speech": 2, "music": 1}
+        assert skipped == []
+
+    def test_equals_the_two_labelled_loads(self, tmp_path):
+        rng = np.random.default_rng(8)
+        for d in ("speech", "music"):
+            (tmp_path / d).mkdir()
+            for name in ("x.wav", "y.wav"):
+                write_wav(tmp_path / d / name, rng.uniform(-0.5, 0.5, int(1.5 * SR)), SR)
+        write_wav(tmp_path / "speech" / "short.wav", np.zeros(SR // 2), SR)
+        (tmp_path / "music" / "notes.txt").write_text("not audio")
+        intervals, skipped = scan_corpus(tmp_path / "speech", tmp_path / "music", 1.0)
+        speech, speech_skipped = load_intervals(tmp_path / "speech", 1.0, "speech")
+        music, music_skipped = load_intervals(tmp_path / "music", 1.0, "music")
+
+        def keys(ivs):
+            return [(iv.source_id, iv.index, iv.label) for iv in ivs]
+
+        assert keys(intervals) == keys(speech + music)
+        for got, want in zip(intervals, speech + music):
+            np.testing.assert_array_equal(got.samples, want.samples)
+        assert skipped == speech_skipped + music_skipped
+        assert [f for f, _ in skipped] == [
+            str(tmp_path / "speech" / "short.wav"),
+            str(tmp_path / "music" / "notes.txt"),
+        ]
 
     def test_same_file_name_in_both_classes_keeps_distinct_keys(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -256,11 +279,11 @@ class TestScanCorpus:
             (tmp_path / d).mkdir()
             write_wav(tmp_path / d / "ok.wav", rng.uniform(-0.5, 0.5, SR), SR)
         (tmp_path / "speech" / "broken.wav").write_bytes(b"not a wav at all")
-        intervals, report = scan_corpus(tmp_path / "speech", tmp_path / "music", 1.0)
+        intervals, skipped = scan_corpus(tmp_path / "speech", tmp_path / "music", 1.0)
         assert len(intervals) == 2
-        assert len(report.skipped) == 1
-        assert "broken.wav" in report.skipped[0][0]
-        assert "broken.wav" in report.render()
+        assert skipped == [
+            (str(tmp_path / "speech" / "broken.wav"), "RIFF header: not a RIFF/WAVE file")
+        ]
 
     def test_empty_class_is_error(self, tmp_path):
         rng = np.random.default_rng(7)

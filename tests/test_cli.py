@@ -34,6 +34,17 @@ def model_path(cli, corpus_dirs, tmp_path_factory):
     return out
 
 
+def corpus_with_broken_wav(corpus_dirs, root):
+    """A copy of the session corpus whose speech directory also holds an
+    undecodable WAV, and that file."""
+    dirs = [root / "speech", root / "music"]
+    for src, dst in zip(corpus_dirs, dirs):
+        shutil.copytree(src, dst)
+    broken = dirs[0] / "broken.wav"
+    broken.write_bytes(b"not a wav file")
+    return dirs, broken
+
+
 class TestExtract:
     def test_single_kind_single_file(self, cli, speech_wav, tmp_path):
         out = tmp_path / "feats.csv"
@@ -164,6 +175,17 @@ class TestTrain:
         assert r.returncode == 0, r.stderr
         assert again.read_bytes() == model_path.read_bytes()
 
+    def test_undecodable_file_noted_and_left_out(self, cli, corpus_dirs, model_path, tmp_path):
+        dirs, broken = corpus_with_broken_wav(corpus_dirs, tmp_path)
+        out = tmp_path / "model.txt"
+        r = cli(
+            "train", *dirs, "--feature", "sps-scg", "--p", 3, "--k-grid", "1,2", "--out", out,
+        )
+        assert r.returncode == 0, r.stderr
+        assert f"skipped:\n{broken}: RIFF header: not a RIFF/WAVE file\n" in r.stderr
+        assert "intervals:" not in r.stderr
+        assert out.read_bytes() == model_path.read_bytes()
+
     def test_infeasible_grid_exits_1(self, cli, corpus_dirs, tmp_path):
         r = cli(
             "train", corpus_dirs[0], corpus_dirs[1],
@@ -228,6 +250,11 @@ class TestPredict:
         r = cli("predict", model_path, speech_wav, "--p", 4, "--out", tmp_path / "p.csv")
         assert r.returncode == 2
         assert "dim" in r.stderr
+
+    def test_dim_checked_before_reading_the_input(self, cli, model_path, tmp_path):
+        r = cli("predict", model_path, tmp_path / "ghost.wav", "--p", 4)  # never opened
+        assert r.returncode == 2
+        assert r.stderr == "error: model expects dim 9, got 12\n"
 
     def test_missing_model_exits_2(self, cli, speech_wav, tmp_path):
         r = cli("predict", tmp_path / "ghost.model", speech_wav)
@@ -300,6 +327,24 @@ class TestEvaluate:
             assert a.read_bytes() == b.read_bytes()
         report = (tmp_path / "a" / "report.txt").read_text()
         assert "config:" in report and "summary:" in report
+
+    def test_undecodable_file_noted_and_left_out(self, cli, corpus_dirs, tmp_path):
+        def run(dirs, out):
+            return cli(
+                "evaluate", *dirs, "--feature", "sps-scg", "--p", 3, "--k-grid", "1",
+                "--trials", 2, "--seed", 3, "--out", out,
+            )
+
+        dirs, broken = corpus_with_broken_wav(corpus_dirs, tmp_path)
+        r = run(dirs, tmp_path / "with")
+        assert r.returncode == 0, r.stderr
+        assert f"skipped:\n{broken}: RIFF header: not a RIFF/WAVE file\n" in r.stderr
+        assert "intervals:" not in r.stderr
+        assert run(corpus_dirs, tmp_path / "without").returncode == 0
+        for name in ("trials.csv", "summary.csv"):
+            with_broken = (tmp_path / "with" / name).read_bytes()
+            assert with_broken == (tmp_path / "without" / name).read_bytes()
+        assert "skipped_files" in (tmp_path / "with" / "report.txt").read_text()
 
     def test_all_features_summarized(self, cli, corpus_dirs, tmp_path):
         r = cli(
@@ -441,6 +486,25 @@ class TestInspect:
         assert decoded == []
         assert not out.exists()
 
+    def test_frame_and_hop_checked_before_decoding(
+        self, speech_wav, tmp_path, monkeypatch, capsys
+    ):
+        decoded = []
+        monkeypatch.setattr(spsgmm_cli.audio_io, "decode_wav", decoded.append)
+        out = tmp_path / "out"
+        argv = ["inspect", str(speech_wav), "--frame-ms", "1", "--hop-ms", "2", "--out", str(out)]
+        assert spsgmm_cli.main(argv) == 2
+        assert "error: need finite frame_ms > hop_ms > 0, got 1.0/2.0" in capsys.readouterr().err
+        assert decoded == []
+        assert not out.exists()
+
+    def test_negative_interval_index_refused_before_reading_the_input(self, cli, tmp_path):
+        out = tmp_path / "out"
+        r = cli("inspect", tmp_path / "missing.wav", "--interval-index", -1, "--out", out)
+        assert r.returncode == 2
+        assert r.stderr == "error: interval index must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_interval_index_out_of_range(self, cli, speech_wav, tmp_path):
         r = cli("inspect", speech_wav, "--interval-index", 99, "--out", tmp_path)
         assert r.returncode == 2
@@ -519,6 +583,25 @@ class TestUsage:
         assert r.returncode == 2, r.stderr
         assert "need finite frame_ms > hop_ms > 0, got" in r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("command", ["extract", "train", "predict", "evaluate", "inspect"])
+    def test_frame_and_hop_checked_before_decoding(self, cli, model_path, tmp_path, command):
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "broken.wav").write_bytes(b"not a wav file")
+        out = tmp_path / "out"
+        inputs = {
+            "extract": [bad],
+            "train": [bad, bad],
+            "predict": [model_path, bad],
+            "evaluate": [bad, bad],
+            "inspect": [bad],
+        }[command]
+        r = cli(command, *inputs, "--frame-ms", 1, "--hop-ms", 2, "--out", out)
+        assert r.returncode == 2, r.stderr
+        assert "need finite frame_ms > hop_ms > 0, got 1.0/2.0" in r.stderr
+        assert "RIFF" not in r.stderr
+        assert not out.exists()
 
 
 def flags_read(command):
