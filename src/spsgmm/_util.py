@@ -1,5 +1,7 @@
 """Small shared helpers."""
 
+import csv
+import io
 import os
 import tempfile
 import threading
@@ -27,6 +29,22 @@ def atomic_write_text(path, text):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def csv_text(header, rows):
+    """The CSV text of a header and rows, each line ended by "\n": RFC 4180
+    with minimal quoting, so a field holding a comma, a double quote or a
+    line feed is quoted.  The one place that knows the CSV dialect."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def cells(table):
+    """(i, j, value) for each cell of a list of rows, row by row."""
+    return ((i, j, v) for i, row in enumerate(table) for j, v in enumerate(row))
 
 
 def is_smooth(n):

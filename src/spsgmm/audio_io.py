@@ -93,6 +93,8 @@ def decode_wav(path):
     elif tag == _IEEE_FLOAT and bits == 32:
         raw = np.frombuffer(data[: len(data) // 4 * 4], dtype="<f4")
         samples = raw.astype(np.float64)
+        if not np.isfinite(samples).all():
+            raise DecodeError("data chunk: non-finite sample")
     else:
         raise DecodeError(
             f"fmt chunk: unsupported format tag 0x{tag:04X} with {bits} bits per sample"

@@ -10,9 +10,10 @@ artifact.  Exit codes: 0 success, 1 runtime failure, 2 usage/input error.
 import argparse
 import os
 import sys
+import warnings
 
 from . import audio_io, pipeline, spectral
-from ._util import atomic_write_text
+from ._util import atomic_write_text, csv_text
 from .classifier import LABELS, as_rows, grid_search, load_model, save_model, score
 from .errors import ConfigError, DecodeError, FitError, InputError, SpsgmmError
 from .evaluate import (
@@ -20,12 +21,12 @@ from .evaluate import (
     TrialConfig,
     report_text,
     run_experiment,
-    summary_csv_lines,
-    trials_csv_lines,
+    summary_csv,
+    trials_csv,
 )
-from .spectral import WINDOWS, spectrogram_csv_lines
-from .sps_core import sps_csv_lines
-from .sps_features import KINDS, distribution_csv_lines, feature_csv_lines, feature_dim
+from .spectral import WINDOWS, spectrogram_csv
+from .sps_core import sps_csv
+from .sps_features import KINDS, distribution_csv, feature_csv, feature_dim
 
 _FEATURE_FLAG = {
     "sps-p": "sps_p",
@@ -141,6 +142,11 @@ def _parse_grid(text):
     return grid
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise InputError(f"--seed must be >= 0, got {seed}")
+
+
 def _listing(skipped):
     """One "path: reason" line per file that gave no interval."""
     return "\n".join(f"{f}: {reason}" for f, reason in skipped)
@@ -180,7 +186,7 @@ def cmd_extract(args):
     for kind in kinds:
         vectors = pipeline.vectors_of(cache, intervals, kind)
         out = args.out if len(kinds) == 1 else f"{base}_{kind}{ext or '.csv'}"
-        atomic_write_text(out, "\n".join(feature_csv_lines(intervals, vectors)) + "\n")
+        atomic_write_text(out, feature_csv(intervals, vectors))
         print(f"wrote {out} ({len(vectors)} rows)")
     return 0
 
@@ -188,6 +194,7 @@ def cmd_extract(args):
 def cmd_train(args):
     pipeline.check_p(args.p)
     grid = _parse_grid(args.k_grid)
+    _check_seed(args.seed)
     intervals, skipped = audio_io.scan_corpus(args.speech_dir, args.music_dir, _interval_s(args))
     if skipped:
         _note(f"skipped:\n{_listing(skipped)}")
@@ -213,11 +220,12 @@ def cmd_predict(args):
     intervals = _load_intervals(args.input, interval_s)
     vectors = pipeline.vectors_of(_extract(intervals, args), intervals, model.feature_kind)
     sc = score(model, as_rows(vectors))
-    lines = ["source_id,interval_index,decision,margin,log_lik_speech,log_lik_music"]
     columns = (sc.decision, sc.margin, sc.log_lik_speech, sc.log_lik_music)
-    for iv, code, g, s, m in zip(intervals, *(a.tolist() for a in columns)):
-        lines.append(f"{iv.source_id},{iv.index},{LABELS[code]},{g!r},{s!r},{m!r}")
-    text = "\n".join(lines) + "\n"
+    rows = zip(intervals, *(a.tolist() for a in columns))
+    text = csv_text(
+        ("source_id", "interval_index", "decision", "margin", "log_lik_speech", "log_lik_music"),
+        ((iv.source_id, iv.index, LABELS[code], *values) for iv, code, *values in rows),
+    )
     if args.out:
         atomic_write_text(args.out, text)
         print(f"wrote {args.out} ({len(intervals)} intervals)")
@@ -229,6 +237,7 @@ def cmd_predict(args):
 def cmd_evaluate(args):
     pipeline.check_p(args.p)
     grid = _parse_grid(args.k_grid)
+    _check_seed(args.seed)
     cfg = TrialConfig(
         n_trials=args.trials,
         train_frac=args.split,
@@ -261,12 +270,8 @@ def cmd_evaluate(args):
     os.makedirs(args.out, exist_ok=True)
     text = report_text(reports)
     atomic_write_text(os.path.join(args.out, "report.txt"), text)
-    atomic_write_text(
-        os.path.join(args.out, "trials.csv"), "\n".join(trials_csv_lines(reports)) + "\n"
-    )
-    atomic_write_text(
-        os.path.join(args.out, "summary.csv"), "\n".join(summary_csv_lines(reports)) + "\n"
-    )
+    atomic_write_text(os.path.join(args.out, "trials.csv"), trials_csv(reports))
+    atomic_write_text(os.path.join(args.out, "summary.csv"), summary_csv(reports))
     sys.stdout.write(text[text.index("summary:"):])
     print(f"wrote report.txt, trials.csv, summary.csv to {args.out}")
     return 1 if failed else 0
@@ -293,19 +298,19 @@ def cmd_inspect(args):
         if iv is chosen:
             mags, m = iv_mags, iv_m
 
-    def write(name, lines):
+    def write(name, text):
         path = os.path.join(args.out, name)
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_text(path, text)
         print(f"wrote {path}")
 
     if "spectrogram" in emit:
-        write("spectrogram.csv", spectrogram_csv_lines(mags))
+        write("spectrogram.csv", spectrogram_csv(mags))
     if "sps" in emit:
-        write("sps.csv", sps_csv_lines(m))
+        write("sps.csv", sps_csv(m))
     if "dist" in emit:
-        zcr_lines, ac_lines = distribution_csv_lines(attrs_list, args.p)
-        write("dist_zcr.csv", zcr_lines)
-        write("dist_autocorr.csv", ac_lines)
+        zcr_text, ac_text = distribution_csv(attrs_list, args.p)
+        write("dist_zcr.csv", zcr_text)
+        write("dist_autocorr.csv", ac_text)
     if peakless:
         _note(f"diagnostics: {peakless} peakless frames")
     return 0
@@ -313,14 +318,23 @@ def cmd_inspect(args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (DecodeError, ConfigError, InputError, OSError) as exc:
-        _note(f"error: {exc}")
-        return 2
-    except SpsgmmError as exc:
-        _note(f"error: {exc}")
-        return 1
+    shown = set()
+
+    def show(message, *_):  # the CLI's format, each message once, no source path
+        if str(message) not in shown:
+            shown.add(str(message))
+            _note(f"warning: {message}")
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        try:
+            return args.func(args)
+        except (DecodeError, ConfigError, InputError, OSError) as exc:
+            _note(f"error: {exc}")
+            return 2
+        except SpsgmmError as exc:
+            _note(f"error: {exc}")
+            return 1
 
 
 def entry():

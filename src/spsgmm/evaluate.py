@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import csv_text
 from .classifier import (
     DEFAULT_K_GRID,
     LABELS,
@@ -56,6 +57,8 @@ class TrialConfig:
         if not 0.0 < self.train_frac < 1.0:
             raise InputError(f"train_frac must be in (0, 1), got {self.train_frac}")
         check_counts("n_trials", [self.n_trials])
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.split_unit not in ("file", "interval"):
             raise InputError(f"split_unit must be 'file' or 'interval', got {self.split_unit!r}")
 
@@ -206,19 +209,14 @@ def run_experiment(
 # ---------------------------------------------------------------------------
 # report rendering (keep byte-stable: no timestamps, repr floats in CSV)
 
-def trials_csv_lines(reports):
-    lines = ["trial,feature,chosen_K,f_score"]
-    for rep in reports:
-        for tr in rep.trials:
-            lines.append(f"{tr.trial},{rep.feature_kind},{tr.chosen_k},{float(tr.f)!r}")
-    return lines
+def trials_csv(reports):
+    rows = ((t.trial, r.feature_kind, t.chosen_k, float(t.f)) for r in reports for t in r.trials)
+    return csv_text(("trial", "feature", "chosen_K", "f_score"), rows)
 
 
-def summary_csv_lines(reports):
-    lines = ["feature,mean_f,var_f"]
-    for rep in reports:
-        lines.append(f"{rep.feature_kind},{float(rep.mean_f)!r},{float(rep.var_f)!r}")
-    return lines
+def summary_csv(reports):
+    rows = ((r.feature_kind, float(r.mean_f), float(r.var_f)) for r in reports)
+    return csv_text(("feature", "mean_f", "var_f"), rows)
 
 
 def report_text(reports):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import is_smooth, map_row_blocks
+from ._util import cells, csv_text, is_smooth, map_row_blocks
 from .errors import ConfigError, InputError
 
 WINDOWS = ("rect", "hamming")
@@ -105,12 +105,7 @@ def magnitude_spectra(frames, cfg):
     return out
 
 
-def spectrogram_csv_lines(mags):
-    """CSV lines `frame,bin,magnitude` (row-major by frame) for an (L, n_f)
+def spectrogram_csv(mags):
+    """CSV `frame,bin,magnitude` (row-major by frame) of an (L, n_f)
     magnitude array."""
-    lines = ["frame,bin,magnitude"]
-    for l in range(mags.shape[0]):
-        row = mags[l]
-        for k in range(mags.shape[1]):
-            lines.append(f"{l},{k},{float(row[k])!r}")
-    return lines
+    return csv_text(("frame", "bin", "magnitude"), cells(mags.tolist()))

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import cells, csv_text
 from .errors import InputError
 
 
@@ -112,12 +113,6 @@ def _rank_exactly(mags, frames, keys, tag_bits):
     return np.take_along_axis(keys, np.argsort(neg, axis=1, kind="stable"), axis=1)
 
 
-def sps_csv_lines(m):
-    """CSV lines `row,frame,bin` for overlaying peak sequences on a
-    spectrogram."""
-    lines = ["row,frame,bin"]
-    for r in range(m.p):
-        row = m.data[r]
-        for l in range(m.L):
-            lines.append(f"{r},{l},{row[l]}")
-    return lines
+def sps_csv(m):
+    """CSV `row,frame,bin` for overlaying peak sequences on a spectrogram."""
+    return csv_text(("row", "frame", "bin"), cells(m.data.tolist()))

@@ -15,7 +15,7 @@ they are found on correctly rounded values.
 
 A FeatureVector holds a kind, its values and the interval's label, nothing
 of the interval's identity: the feature cache keys each interval's vectors
-by (source id, index), and feature_csv_lines reads those from the intervals.
+by (source id, index), and feature_csv reads those from the intervals.
 """
 
 import itertools
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import is_smooth
+from ._util import cells, csv_text, is_smooth
 from .errors import ConfigError, InputError
 from .sps_core import PeakSequenceMatrix, interior_maxima
 
@@ -181,18 +181,13 @@ def early_fuse(fp, fz, fs):
     )
 
 
-def distribution_csv_lines(attrs_list, p):
+def distribution_csv(attrs_list, p):
     """Plot-data export: per-row ZCR histograms (20 bins over [0, 1)) and the
-    per-interval-normalized mean autocorrelation per lag, both as
-    `row,bin_or_lag,value` lines."""
-    n_bins = 20
+    per-interval-normalized mean autocorrelation per lag, as two CSV texts
+    `row,bin_or_lag,value`."""
     zcr_rows = np.stack([sps_zcr(a).values for a in attrs_list])
-    zcr_lines = ["row,bin_or_lag,value"]
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
-    for r in range(p):
-        hist, _ = np.histogram(zcr_rows[:, r], bins=edges)
-        for b in range(n_bins):
-            zcr_lines.append(f"{r},{b},{hist[b]}")
+    edges = np.linspace(0.0, 1.0, 21)
+    hists = [np.histogram(zcr_rows[:, r], bins=edges)[0].tolist() for r in range(p)]
     cap = min(a.lag_cap for a in attrs_list)
     acc = np.zeros((p, cap + 1))
     for a in attrs_list:
@@ -200,15 +195,12 @@ def distribution_csv_lines(attrs_list, p):
         a0 = np.where(A[:, :1] != 0, A[:, :1], 1.0)
         acc += A / a0
     acc /= len(attrs_list)
-    ac_lines = ["row,bin_or_lag,value"]
-    for r in range(p):
-        for tau in range(cap + 1):
-            ac_lines.append(f"{r},{tau},{float(acc[r, tau])!r}")
-    return zcr_lines, ac_lines
+    header = ("row", "bin_or_lag", "value")
+    return csv_text(header, cells(hists)), csv_text(header, cells(acc.tolist()))
 
 
-def feature_csv_lines(intervals, vectors):
-    """CSV `source_id,interval_index,label,kind,v0..v{d-1}`, one line per
+def feature_csv(intervals, vectors):
+    """CSV `source_id,interval_index,label,kind,v0..v{d-1}`, one row per
     interval and its vector (same kind throughout), the ids read from the
     interval; the two lists must have the same length."""
     if not vectors:
@@ -217,10 +209,7 @@ def feature_csv_lines(intervals, vectors):
     dims = {f.values.size for f in vectors}
     if len(kinds) > 1 or len(dims) > 1:
         raise InputError(f"mixed kinds/dims in one export: {kinds}, {dims}")
-    d = dims.pop()
-    header = ",".join(f"v{i}" for i in range(d))
-    lines = [f"source_id,interval_index,label,kind,{header}"]
-    for iv, f in zip(intervals, vectors, strict=True):
-        vals = ",".join(repr(float(v)) for v in f.values)
-        lines.append(f"{iv.source_id},{iv.index},{f.label or ''},{f.kind},{vals}")
-    return lines
+    values = [f"v{i}" for i in range(dims.pop())]
+    pairs = zip(intervals, vectors, strict=True)
+    rows = ((iv.source_id, iv.index, f.label, f.kind, *f.values.tolist()) for iv, f in pairs)
+    return csv_text(("source_id", "interval_index", "label", "kind", *values), rows)

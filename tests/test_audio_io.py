@@ -39,6 +39,15 @@ class TestDecodeWav:
         path = make_wav("a.wav", vals, fmt="float32")
         np.testing.assert_array_equal(decode_wav(path).samples, vals.astype(np.float64))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_non_finite_float_sample_refused(self, make_wav, bad, channels):
+        vals = np.zeros((4, channels), np.float32)
+        vals[2, -1] = bad
+        path = make_wav("a.wav", vals, fmt="float32")
+        with pytest.raises(DecodeError, match="data chunk: non-finite sample"):
+            decode_wav(path)
+
     def test_stereo_identical_channels_equals_mono(self, make_wav):
         rng = np.random.default_rng(1)
         mono = rng.integers(-30000, 30000, 64).astype(np.int16)

@@ -4,8 +4,10 @@ static check that every command reads every flag it accepts."""
 
 import argparse
 import ast
+import csv
 import inspect
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from spsgmm import cli as spsgmm_cli
 from spsgmm.audio_io import decode_wav, segment_intervals, write_wav
 from spsgmm.classifier import load_model, score
 from spsgmm.pipeline import extract_features
+
+from conftest import wav_bytes
 
 pytestmark = pytest.mark.slow  # every test here forks a fresh interpreter
 
@@ -34,15 +38,22 @@ def model_path(cli, corpus_dirs, tmp_path_factory):
     return out
 
 
-def corpus_with_broken_wav(corpus_dirs, root):
+def corpus_with_broken_wav(corpus_dirs, root, data=b"not a wav file"):
     """A copy of the session corpus whose speech directory also holds an
-    undecodable WAV, and that file."""
+    undecodable WAV (by default not RIFF at all), and that file."""
     dirs = [root / "speech", root / "music"]
     for src, dst in zip(corpus_dirs, dirs):
         shutil.copytree(src, dst)
     broken = dirs[0] / "broken.wav"
-    broken.write_bytes(b"not a wav file")
+    broken.write_bytes(data)
     return dirs, broken
+
+
+def nan_wav_bytes():
+    """A 3 s float32 WAV, 22050 Hz, with one NaN sample."""
+    x = np.zeros(3 * 22050, np.float32)
+    x[1000] = np.nan
+    return wav_bytes(x, fmt="float32")
 
 
 class TestExtract:
@@ -100,6 +111,16 @@ class TestExtract:
             f"error: {d / 'notes.txt'}: RIFF header: truncated (wanted 12 bytes, got 9)\n"
         )
         assert r.stdout == "" and list(tmp_path.iterdir()) == [d]
+
+    def test_non_finite_sample_names_the_file(self, cli, corpus_dirs, tmp_path):
+        d = tmp_path / "in"
+        d.mkdir()
+        shutil.copy(corpus_dirs[0] / "sp00.wav", d / "sp00.wav")
+        (d / "nan.wav").write_bytes(nan_wav_bytes())
+        r = cli("extract", d, "--p", 2, "--out", tmp_path / "feats.csv")
+        assert r.returncode == 2
+        assert r.stderr == f"error: {d / 'nan.wav'}: data chunk: non-finite sample\n"
+        assert list(tmp_path.iterdir()) == [d]
 
     def test_missing_output_dir_is_named(self, cli, speech_wav, tmp_path):
         out = tmp_path / "missing_dir" / "feat.csv"
@@ -185,6 +206,17 @@ class TestTrain:
         assert f"skipped:\n{broken}: RIFF header: not a RIFF/WAVE file\n" in r.stderr
         assert "intervals:" not in r.stderr
         assert out.read_bytes() == model_path.read_bytes()
+
+    def test_skipped_grid_entries_warned_in_the_cli_format(self, cli, corpus_dirs, tmp_path):
+        r = cli(
+            "train", *corpus_dirs, "--feature", "sps-scg", "--p", 3, "--k-grid", "1,2",
+            "--out", tmp_path / "m.txt",
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == (
+            "warning: grid entries [2] skipped: fewer than K*d=9*K training vectors in a class\n"
+        )
+        assert ".py:" not in r.stderr and "warnings.warn" not in r.stderr
 
     def test_infeasible_grid_exits_1(self, cli, corpus_dirs, tmp_path):
         r = cli(
@@ -345,6 +377,26 @@ class TestEvaluate:
             with_broken = (tmp_path / "with" / name).read_bytes()
             assert with_broken == (tmp_path / "without" / name).read_bytes()
         assert "skipped_files" in (tmp_path / "with" / "report.txt").read_text()
+
+    def test_non_finite_file_noted_and_left_out(self, cli, corpus_dirs, tmp_path):
+        def run(dirs, out):
+            return cli(
+                "evaluate", *dirs, "--feature", "sps-zcr", "--p", 3, "--k-grid", "1",
+                "--trials", 2, "--seed", 3, "--out", out,
+            )
+
+        dirs, broken = corpus_with_broken_wav(corpus_dirs, tmp_path, nan_wav_bytes())
+        r = run(dirs, tmp_path / "with")
+        assert r.returncode == 0, r.stderr
+        assert f"skipped:\n{broken}: data chunk: non-finite sample\n" in r.stderr
+        assert run(corpus_dirs, tmp_path / "without").returncode == 0
+        for name in ("trials.csv", "summary.csv"):
+            with_broken = (tmp_path / "with" / name).read_bytes()
+            assert with_broken == (tmp_path / "without" / name).read_bytes()
+        report = (tmp_path / "with" / "report.txt").read_text()
+        assert report.replace("skipped_files: 1", "skipped_files: 0") == (
+            tmp_path / "without" / "report.txt"
+        ).read_text()
 
     def test_all_features_summarized(self, cli, corpus_dirs, tmp_path):
         r = cli(
@@ -525,6 +577,49 @@ class TestInspect:
             assert (tmp_path / "dir" / name).read_bytes() == (tmp_path / "file" / name).read_bytes()
 
 
+class TestQuotedSourceIds:
+    """Source ids are file names, which may hold the CSV's own separators."""
+
+    @pytest.fixture(scope="class")
+    def odd_dir(self, corpus_dirs, tmp_path_factory):
+        """Copies of one 3 s speech file under names holding a comma, a
+        double quote and, where the filesystem takes one, a line feed."""
+        d = tmp_path_factory.mktemp("odd")
+        names = []
+        for name in ("a,b.wav", 'say "hi".wav', "two\nlines.wav"):
+            try:
+                shutil.copy(corpus_dirs[0] / "sp00.wav", d / name)
+            except OSError:
+                continue
+            names.append(name)
+        assert len(names) >= 2
+        return d, sorted(names)
+
+    @staticmethod
+    def check(path, names):
+        with open(path, newline="", encoding="utf-8") as f:
+            header, *rows = csv.reader(f)
+        assert header[0] == "source_id"
+        assert all(len(row) == len(header) for row in rows)
+        assert [row[0] for row in rows] == [n for n in names for _ in range(3)]
+
+    def test_extract(self, cli, odd_dir, tmp_path):
+        d, names = odd_dir
+        r = cli("extract", d, "--feature", "all", "--p", 3, "--out", tmp_path / "f.csv")
+        assert r.returncode == 0, r.stderr
+        outputs = sorted(tmp_path.iterdir())
+        assert len(outputs) == 4
+        for path in outputs:
+            self.check(path, names)
+
+    def test_predict(self, cli, model_path, odd_dir, tmp_path):
+        d, names = odd_dir
+        out = tmp_path / "pred.csv"
+        r = cli("predict", model_path, d, "--p", 3, "--out", out)
+        assert r.returncode == 0, r.stderr
+        self.check(out, names)
+
+
 class TestUsage:
     def test_help(self, cli):
         r = cli("--help")
@@ -547,6 +642,36 @@ class TestUsage:
         assert r.returncode == 2
         assert "bad --k-grid 'two'" in r.stderr
         assert "not a directory" not in r.stderr
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_negative_seed_refused_before_scanning(self, cli, tmp_path, command):
+        ghost = tmp_path / "nowhere"
+        r = cli(command, ghost, ghost, "--seed", -1, "--out", tmp_path / "out")
+        assert r.returncode == 2
+        assert r.stderr == "error: --seed must be >= 0, got -1\n"
+
+    def test_warnings_shown_once_each_without_a_source_path(self, monkeypatch, capsys):
+        def command(args):
+            for message in ("first", "second", "first"):
+                warnings.warn(message)
+            return 0
+
+        monkeypatch.setattr(spsgmm_cli, "cmd_extract", command)
+        with warnings.catch_warnings():
+            warnings.simplefilter("always", UserWarning)
+            assert spsgmm_cli.main(["extract", "in.wav", "--out", "x.csv"]) == 0
+        assert capsys.readouterr().err == "warning: first\nwarning: second\n"
+
+    def test_warning_filters_still_apply(self, monkeypatch):
+        def command(args):
+            warnings.warn("invalid value", RuntimeWarning)
+            return 0
+
+        monkeypatch.setattr(spsgmm_cli, "cmd_extract", command)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="invalid value"):
+                spsgmm_cli.main(["extract", "in.wav", "--out", "x.csv"])
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_empty_class_names_its_skipped_files(self, cli, corpus_dirs, tmp_path, command):

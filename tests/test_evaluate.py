@@ -24,8 +24,8 @@ from spsgmm.evaluate import (
     report_text,
     run_experiment,
     stratified_split,
-    summary_csv_lines,
-    trials_csv_lines,
+    summary_csv,
+    trials_csv,
 )
 from spsgmm.pipeline import BASE_KINDS, vectors_of
 from spsgmm.sps_features import FeatureVector
@@ -167,6 +167,7 @@ class TestTrialConfig:
             (dict(split_unit="minute"), "split_unit"),
             (dict(n_trials=2.5), "n_trials must be an integer, got 2.5"),
             (dict(n_trials=True), "n_trials must be an integer, got True"),
+            (dict(seed=-1), "seed must be >= 0, got -1"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -223,7 +224,7 @@ class TestRunExperiment:
                 )
                 for kind in ("sps_p", "sps_scg")
             ]
-            return report_text(reps), trials_csv_lines(reps), summary_csv_lines(reps)
+            return report_text(reps), trials_csv(reps), summary_csv(reps)
 
         assert once() == once()
 
@@ -457,10 +458,10 @@ class TestReportFormats:
 
     def test_csv_headers_and_shape(self, corpus_intervals, feature_cache):
         rep = self._report(corpus_intervals, feature_cache[0])
-        tl = trials_csv_lines([rep])
+        tl = trials_csv([rep]).splitlines()
         assert tl[0] == "trial,feature,chosen_K,f_score"
         assert len(tl) == 3 and tl[1].startswith("0,sps_p,1,")
-        sl = summary_csv_lines([rep])
+        sl = summary_csv([rep]).splitlines()
         assert sl[0] == "feature,mean_f,var_f"
         assert len(sl) == 2 and sl[1].startswith("sps_p,")
         # floats round-trip: the value printed is the value aggregated

@@ -18,7 +18,7 @@ from spsgmm.spectral import (
     frame_interval,
     magnitude_spectra,
     make_frame_config,
-    spectrogram_csv_lines,
+    spectrogram_csv,
 )
 
 
@@ -312,7 +312,7 @@ class TestRowBlockSplit:
 def test_spectrogram_csv_shape():
     rng = np.random.default_rng(3)
     mags = np.abs(rng.standard_normal((4, 5)))
-    lines = spectrogram_csv_lines(mags)
+    lines = spectrogram_csv(mags).splitlines()
     assert lines[0] == "frame,bin,magnitude"
     assert len(lines) == 1 + 4 * 5
     assert lines[1].startswith("0,0,")

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import oracles
 from spsgmm import sps_core
 from spsgmm.errors import InputError
-from spsgmm.sps_core import build_peak_matrix, sps_csv_lines
+from spsgmm.sps_core import build_peak_matrix, sps_csv
 from spsgmm.spectral import (
     frame_interval,
     magnitude_spectra,
@@ -368,7 +368,7 @@ class TestRankingKeys:
 
 def test_sps_csv_shape():
     m = build_peak_matrix(np.abs(np.random.default_rng(0).standard_normal((3, 16))), 2)
-    lines = sps_csv_lines(m)
+    lines = sps_csv(m).splitlines()
     assert lines[0] == "row,frame,bin"
     assert len(lines) == 1 + 2 * 3
     assert lines[1] == f"0,0,{m.data[0, 0]}"

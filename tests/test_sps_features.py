@@ -14,9 +14,9 @@ from spsgmm.sps_features import (
     FeatureVector,
     SpsAttributes,
     compute_attributes,
-    distribution_csv_lines,
+    distribution_csv,
     early_fuse,
-    feature_csv_lines,
+    feature_csv,
     feature_dim,
     lag_cap,
     sps_periodicity,
@@ -388,7 +388,7 @@ class TestCsvExports:
             FeatureVector(kind="sps_p", values=np.array([1.5, 2.5]), label="speech"),
             FeatureVector(kind="sps_p", values=np.array([0.0, 1.0])),
         ]
-        lines = feature_csv_lines(self._intervals(("a.wav", 3), ("", 0)), vecs)
+        lines = feature_csv(self._intervals(("a.wav", 3), ("", 0)), vecs).splitlines()
         assert lines[0] == "source_id,interval_index,label,kind,v0,v1"
         assert lines[1] == "a.wav,3,speech,sps_p,1.5,2.5"
         assert lines[2] == ",0,,sps_p,0.0,1.0"
@@ -399,17 +399,17 @@ class TestCsvExports:
             FeatureVector(kind="sps_zcr", values=np.zeros(2)),
         ]
         with pytest.raises(InputError, match="mixed"):
-            feature_csv_lines(self._intervals(("a.wav", 0), ("a.wav", 1)), vecs)
+            feature_csv(self._intervals(("a.wav", 0), ("a.wav", 1)), vecs)
 
     def test_feature_csv_rejects_fewer_intervals_than_vectors(self):
         vecs = [FeatureVector(kind="sps_p", values=np.zeros(2))] * 2
         with pytest.raises(ValueError, match="longer than argument 1"):
-            feature_csv_lines(self._intervals(("a.wav", 0)), vecs)
+            feature_csv(self._intervals(("a.wav", 0)), vecs)
 
     def test_distribution_csv(self):
         rng = np.random.default_rng(3)
         attrs = [compute_attributes(rng.integers(0, 64, (4, 12))) for _ in range(5)]
-        zcr_lines, ac_lines = distribution_csv_lines(attrs, 4)
+        zcr_lines, ac_lines = (t.splitlines() for t in distribution_csv(attrs, 4))
         assert zcr_lines[0] == ac_lines[0] == "row,bin_or_lag,value"
         assert len(zcr_lines) == 1 + 4 * 20
         cap = min(a.lag_cap for a in attrs)
