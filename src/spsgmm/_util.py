@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import os
 import tempfile
 import threading
@@ -34,11 +35,16 @@ def atomic_write_text(path, text):
 def csv_text(header, rows):
     """The CSV text of a header and rows, each line ended by "\n": RFC 4180
     with minimal quoting, so a field holding a comma, a double quote or a
-    line feed is quoted.  The one place that knows the CSV dialect."""
+    line feed is quoted.  csv.writer need not quote a carriage return (3.11
+    quotes only the characters of its line terminator), so a row with one
+    in a field has all its fields quoted.  The one place that knows the CSV
+    dialect."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    minimal = csv.writer(buf, lineterminator="\n")
+    quoted = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in itertools.chain([header], rows):
+        cr = any(isinstance(v, str) and "\r" in v for v in row)
+        (quoted if cr else minimal).writerow(row)
     return buf.getvalue()
 
 

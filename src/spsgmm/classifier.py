@@ -507,113 +507,98 @@ def _numbers(convert, tokens, line):
         raise InputError(f"non-numeric value in model file line {line!r}") from None
 
 
-def _floats(text, line):
-    return np.array(_numbers(float, text.split(), line))
+def _checked(name, values, positive=False):
+    # a fitted model never breaks these: std is floored at 1e-8, vars at
+    # 1e-12 or more, and EM adds 1e-300 to every component's mass
+    if not np.isfinite(values).all():
+        raise InputError(f"model file {name}: non-finite value")
+    if positive and not (values > 0).all():
+        raise InputError(f"model file {name}: value not above 0")
+    return values
 
 
 def model_from_text(text):
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or lines[0] != "spsgmm v1":
+    """The model of a spsgmm v1 file, which must hold the lines model_to_text
+    writes in the order it writes them (blank lines aside).  Any other line,
+    order or repeat, and any value no fitted model holds, raises InputError."""
+    lines = iter([l for l in text.splitlines() if l.strip()])
+    if next(lines, None) != "spsgmm v1":
         raise InputError("not a spsgmm v1 model file")
-    meta = {"k_grid": []}
-    std_fields = {}
-    classes = {}
-    i = 1
-    current = None  # (label, mixture fields)
-    mode = None
-    while i < len(lines):
-        line = lines[i]
-        head, _, rest = line.partition(" ")
-        if head == "meta":
-            mode = "meta"
-        elif head == "standardizer":
-            mode = "standardizer"
-        elif head == "class":
-            if rest not in LABELS:
-                raise InputError(f"unknown class {rest!r} in model file")
-            current = {"label": rest}
-            classes[rest] = current
-            mode = "class"
-        elif mode == "meta":
-            if head == "k_grid":
-                meta["k_grid"] = _numbers(int, [k for k in rest.split(",") if k], line)
-            elif head in ("seed", "chosen_k", "dim"):
-                meta[head] = _numbers(int, [rest], line)[0]
-            else:
-                meta[head] = rest
-        elif mode == "standardizer":
-            std_fields[head] = _floats(rest, line)
-        elif mode == "class":
-            if head in ("means", "vars"):
-                K = current["weights"].size if "weights" in current else 0
-                if K == 0:
-                    raise InputError(f"{head} block before a nonempty weights line")
-                if i + K >= len(lines):
-                    raise InputError(f"model file ends inside a {head} block")
-                rows = [_floats(row, row) for row in lines[i + 1 : i + 1 + K]]
-                if len({r.size for r in rows}) != 1:
-                    raise InputError(f"ragged {head} block in model file")
-                current[head] = np.stack(rows)
-                i += K
-            elif head == "log_prior":
-                current[head] = _numbers(float, [rest], line)[0]
-            elif head == "weights":
-                current[head] = _floats(rest, line)
-            else:
-                raise InputError(f"unexpected line in model file: {line!r}")
-        else:
-            raise InputError(f"unexpected line in model file: {line!r}")
-        i += 1
-    missing = [lab for lab in LABELS if lab not in classes]
-    if missing or "mean" not in std_fields or "std" not in std_fields:
-        raise InputError(f"model file incomplete (missing {missing or 'standardizer'})")
-    d = std_fields["mean"].size
-    if std_fields["std"].size != d or meta.get("dim", d) != d:
+
+    def take(key, marker=False):
+        """What follows "key " on the next line, which must be key alone
+        if it is a marker."""
+        line = next(lines, None)
+        if line is None:
+            raise InputError(f"model file incomplete (it ends before its {key} line)")
+        if line == key if marker else line.startswith(key + " "):
+            return line[len(key) + 1:]
+        raise InputError(f"unexpected line in model file: {line!r}")
+
+    def scalar(key, convert):
+        rest = take(key)
+        return _numbers(convert, [rest], f"{key} {rest}")[0]
+
+    def vector(key):
+        rest = take(key)
+        return np.array(_numbers(float, rest.split(), f"{key} {rest}"))
+
+    def matrix(key, K, d):
+        take(key, marker=True)
+        rows = []
+        for _ in range(K):
+            row = next(lines, None)
+            if row is None:
+                raise InputError(f"model file ends inside a {key} block")
+            rows.append(_numbers(float, row.split(), row))
+        if len({len(r) for r in rows}) != 1:
+            raise InputError(f"ragged {key} block in model file")
+        if len(rows[0]) != d:
+            raise InputError(
+                f"model file dims disagree: standardizer {d}, {key} rows {len(rows[0])}"
+            )
+        return np.array(rows)
+
+    take("meta", marker=True)
+    meta = {"feature_kind": take("feature_kind")}
+    meta["dim"], meta["seed"] = scalar("dim", int), scalar("seed", int)
+    grid = take("k_grid")
+    meta["k_grid"] = _numbers(int, grid.split(",") if grid else [], f"k_grid {grid}")
+    meta["chosen_k"] = scalar("chosen_k", int)
+    take("standardizer", marker=True)
+    mean, std = vector("mean"), vector("std")
+    d = mean.size
+    if std.size != d or meta["dim"] != d:
         raise InputError(
             f"model file dims disagree: standardizer mean {d}, "
-            f"std {std_fields['std'].size}, dim line {meta.get('dim', d)}"
+            f"std {std.size}, dim line {meta['dim']}"
         )
-    for lab, c in classes.items():
-        lacking = [k for k in ("log_prior", "weights", "means", "vars") if k not in c]
-        if lacking:
-            raise InputError(f"model file incomplete (class {lab} lacks {lacking})")
-        K = c["weights"].size
-        if c["means"].shape != (K, d) or c["vars"].shape != (K, d):
-            raise InputError(
-                f"class {lab}: means {c['means'].shape} and vars {c['vars'].shape} "
-                f"must both be ({K}, {d})"
-            )
-    # a fitted model never breaks these: std is floored at 1e-8, vars at
-    # 1e-12 or more, and EM adds 1e-300 to every component's mass
-    blocks = {"standardizer mean": std_fields["mean"], "standardizer std": std_fields["std"]}
-    blocks.update((f"class {lab} {k}", c[k]) for lab, c in classes.items()
-                  for k in ("log_prior", "weights", "means", "vars"))
-    for name, values in blocks.items():
-        if not np.isfinite(values).all():
-            raise InputError(f"model file {name}: non-finite value")
-        if name.endswith(("std", "weights", "vars")) and not (values > 0).all():
-            raise InputError(f"model file {name}: value not above 0")
-    # EM divides the weights by their sum, which leaves them within a few ulps
-    # per component of summing to 1
-    for lab, c in classes.items():
-        total = math.fsum(c["weights"])
-        if abs(total - 1.0) > 4 * c["weights"].size * np.finfo(np.float64).eps:
-            raise InputError(f"model file class {lab} weights: sum {total!r} is not 1")
-    mixes = {
-        lab: Mixture(
-            weights=c["weights"],
-            means=c["means"],
-            vars=c["vars"],
-            log_prior=c["log_prior"],
-        )
-        for lab, c in classes.items()
-    }
-    return GmmModel(
-        feature_kind=meta.get("feature_kind", ""),
-        standardizer=Standardizer(mean=std_fields["mean"], std=std_fields["std"]),
-        classes=mixes,
-        train_meta=meta,
+    standardizer = Standardizer(
+        mean=_checked("standardizer mean", mean),
+        std=_checked("standardizer std", std, positive=True),
     )
+    mixes = {}
+    for label in LABELS:
+        name = f"class {label}"
+        take(name, marker=True)
+        log_prior = _checked(f"{name} log_prior", scalar("log_prior", float))
+        weights = _checked(f"{name} weights", vector("weights"), positive=True)
+        # EM divides the weights by their sum, which leaves them within a few
+        # ulps per component of summing to 1
+        K, total = weights.size, math.fsum(weights)
+        if abs(total - 1.0) > 4 * K * np.finfo(np.float64).eps:
+            raise InputError(f"model file {name} weights: sum {total!r} is not 1")
+        mixes[label] = Mixture(
+            weights=weights,
+            means=_checked(f"{name} means", matrix("means", K, d)),
+            vars=_checked(f"{name} vars", matrix("vars", K, d), positive=True),
+            log_prior=log_prior,
+        )
+    extra = next(lines, None)
+    if extra is not None:
+        raise InputError(f"unexpected line in model file: {extra!r}")
+    return GmmModel(feature_kind=meta["feature_kind"], standardizer=standardizer,
+                    classes=mixes, train_meta=meta)
 
 
 def save_model(model, path):
@@ -623,5 +608,9 @@ def save_model(model, path):
 
 
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return model_from_text(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError:  # a WAV passed where the model goes, say
+        raise InputError("not a spsgmm v1 model file") from None
+    return model_from_text(text)

@@ -129,6 +129,10 @@ def _interval_s(args):
     if not 0 < args.interval_ms < float("inf"):
         raise InputError(f"--interval-ms must be finite and above 0, got {args.interval_ms}")
     spectral.check_frame(args.frame_ms, args.hop_ms)
+    if args.interval_ms <= args.frame_ms:  # one frame at most; peaks need two
+        raise InputError(
+            f"--interval-ms must be above --frame-ms, got {args.interval_ms}/{args.frame_ms}"
+        )
     return args.interval_ms / 1000.0
 
 

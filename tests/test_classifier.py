@@ -755,7 +755,6 @@ class TestModelFormat:
         "text,match",
         [
             ("hello\n", "not a spsgmm v1"),
-            ("spsgmm v1\nclass cats\n", "unknown class"),
             ("spsgmm v1\nbogus line\n", "unexpected line"),
             ("spsgmm v1\nmeta\nfeature_kind sps_p\n", "incomplete"),
         ],
@@ -779,6 +778,17 @@ class TestModelFormat:
             lines[m + 1] = lines[m + 1].rsplit(" ", 1)[0]
         elif how == "dim":
             lines[lines.index("dim 2")] = "dim 3"
+        elif how == "unknown class":
+            lines[lines.index("class music")] = "class cats"
+        elif how == "second speech class":  # a copy of the speech block before the music one
+            c = lines.index("class music")
+            lines[c:c] = lines[lines.index("class speech") : c]
+        elif how == "misspelt key":
+            lines[lines.index("chosen_k 2")] = "chosen-k 2"
+        elif how == "extra standardizer field":
+            lines.insert(lines.index("class speech"), "scale 1 1")
+        elif how == "trailing text":
+            lines += ["meta", "feature_kind sps_zcr"]
         return "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize(
@@ -786,9 +796,14 @@ class TestModelFormat:
         [
             ("truncated vars", "ends inside a vars block"),
             ("non-numeric", "non-numeric value"),
-            ("means before weights", "means block before"),
+            ("means before weights", "unexpected line in model file: 'means'"),
             ("ragged means", "ragged means"),
             ("dim", "dims disagree"),
+            ("unknown class", "unexpected line in model file: 'class cats'"),
+            ("second speech class", "unexpected line in model file: 'class speech'"),
+            ("misspelt key", "unexpected line in model file: 'chosen-k 2'"),
+            ("extra standardizer field", "unexpected line in model file: 'scale 1 1'"),
+            ("trailing text", "unexpected line in model file: 'meta'"),
         ],
     )
     def test_corrupted_model_files(self, how, match):
@@ -797,6 +812,19 @@ class TestModelFormat:
         assert bad != text
         with pytest.raises(InputError, match=match):
             model_from_text(bad)
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_every_one_line_deletion_or_duplication_refused(self, K):
+        lines = model_to_text(fit_gmm(blobs(23, 30), K=K, seed=4)).splitlines()
+        for i in range(len(lines)):
+            for bad in (lines[:i] + lines[i + 1 :], lines[: i + 1] + lines[i:]):
+                with pytest.raises(InputError):
+                    model_from_text("\n".join(bad) + "\n")
+
+    def test_blank_lines_ignored(self):
+        text = model_to_text(fit_gmm(blobs(23, 30), K=2, seed=4))
+        spaced = "\n" + text.replace("\n", "\n\n \n")
+        assert model_to_text(model_from_text(spaced)) == text
 
     @staticmethod
     def _with_value(text, block, value):

@@ -6,6 +6,7 @@ import argparse
 import ast
 import csv
 import inspect
+import io
 import shutil
 import warnings
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from spsgmm import cli as spsgmm_cli
+from spsgmm._util import csv_text
 from spsgmm.audio_io import decode_wav, segment_intervals, write_wav
 from spsgmm.classifier import load_model, score
 from spsgmm.pipeline import extract_features
@@ -132,7 +134,8 @@ class TestExtract:
 
     def test_interval_under_one_sample_exits_2(self, cli, speech_wav, tmp_path):
         out = tmp_path / "feats.csv"
-        r = cli("extract", speech_wav, "--out", out, "--interval-ms", 0.01)
+        r = cli("extract", speech_wav, "--out", out, "--interval-ms", 0.01,
+                "--frame-ms", 0.005, "--hop-ms", 0.001)  # the interval outlasts a frame
         assert r.returncode == 2, r.stderr
         assert "0.01 ms is under one sample at 22050 Hz" in r.stderr
         assert "Traceback" not in r.stderr
@@ -320,6 +323,20 @@ class TestPredict:
         r = cli("predict", bad, speech_wav, "--p", 3)
         assert r.returncode == 2
         assert "error:" in r.stderr and "Traceback" not in r.stderr
+
+    def test_appended_lines_refused(self, cli, model_path, speech_wav, tmp_path):
+        bad = tmp_path / "bad.model"
+        bad.write_text(model_path.read_text() + "meta\nfeature_kind sps_zcr\n")
+        r = cli("predict", bad, speech_wav, "--p", 3)
+        assert r.returncode == 2
+        assert r.stderr == "error: unexpected line in model file: 'meta'\n"
+        assert r.stdout == ""
+
+    def test_swapped_arguments_exit_2(self, cli, model_path, speech_wav):
+        r = cli("predict", speech_wav, model_path, "--p", 3)  # a WAV is not UTF-8 text
+        assert r.returncode == 2
+        assert r.stderr == "error: not a spsgmm v1 model file\n"
+        assert r.stdout == ""
 
     def test_unextractable_kind_refused_before_decoding(self, cli, model_path, tmp_path):
         late = tmp_path / "late.model"
@@ -511,7 +528,8 @@ class TestInspect:
         assert "diagnostics: 1946 peakless frames" in r.stderr  # 2 intervals x 973
 
     def test_interval_under_one_sample_exits_2(self, cli, speech_wav, tmp_path):
-        r = cli("inspect", speech_wav, "--out", tmp_path / "out", "--interval-ms", 0.01)
+        r = cli("inspect", speech_wav, "--out", tmp_path / "out", "--interval-ms", 0.01,
+                "--frame-ms", 0.005, "--hop-ms", 0.001)  # the interval outlasts a frame
         assert r.returncode == 2, r.stderr
         assert "0.01 ms is under one sample at 22050 Hz" in r.stderr
         assert "Traceback" not in r.stderr
@@ -583,10 +601,11 @@ class TestQuotedSourceIds:
     @pytest.fixture(scope="class")
     def odd_dir(self, corpus_dirs, tmp_path_factory):
         """Copies of one 3 s speech file under names holding a comma, a
-        double quote and, where the filesystem takes one, a line feed."""
+        double quote and, where the filesystem takes them, a line feed and
+        a carriage return."""
         d = tmp_path_factory.mktemp("odd")
         names = []
-        for name in ("a,b.wav", 'say "hi".wav', "two\nlines.wav"):
+        for name in ("a,b.wav", 'say "hi".wav', "two\nlines.wav", "car\rriage.wav"):
             try:
                 shutil.copy(corpus_dirs[0] / "sp00.wav", d / name)
             except OSError:
@@ -618,6 +637,15 @@ class TestQuotedSourceIds:
         r = cli("predict", model_path, d, "--p", 3, "--out", out)
         assert r.returncode == 0, r.stderr
         self.check(out, names)
+
+    def test_carriage_return_quotes_its_row_alone(self):
+        rows = [["a\rb.wav", 0, 1.5], ["c,d.wav", 1, 2.5], ["e.wav", 2, 3.5]]
+        text = csv_text(["source_id", "interval_index", "x"], rows)
+        assert text == (
+            'source_id,interval_index,x\n"a\rb.wav","0","1.5"\n"c,d.wav",1,2.5\ne.wav,2,3.5\n'
+        )
+        header, *back = csv.reader(io.StringIO(text, newline=""))
+        assert back == [[str(v) for v in row] for row in rows]
 
 
 class TestUsage:
@@ -726,6 +754,19 @@ class TestUsage:
         assert r.returncode == 2, r.stderr
         assert "need finite frame_ms > hop_ms > 0, got 1.0/2.0" in r.stderr
         assert "RIFF" not in r.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("interval_ms", [10, 30])
+    @pytest.mark.parametrize("command", ["extract", "train", "predict", "evaluate", "inspect"])
+    def test_interval_no_longer_than_a_frame_refused_before_reading(
+        self, cli, tmp_path, command, interval_ms
+    ):
+        ghost = tmp_path / "ghost"  # neither the input nor the model exists
+        inputs = {"extract": 1, "train": 2, "predict": 2, "evaluate": 2, "inspect": 1}[command]
+        out = tmp_path / "out"
+        r = cli(command, *[ghost] * inputs, "--interval-ms", interval_ms, "--out", out)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == f"error: --interval-ms must be above --frame-ms, got {interval_ms}.0/30.0\n"
         assert not out.exists()
 
 
