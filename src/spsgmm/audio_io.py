@@ -22,7 +22,7 @@ _EXTENSIBLE = 0xFFFE
 class AudioSignal:
     """Mono floating-point samples at a known sample rate."""
 
-    samples: np.ndarray  # float64, nominal range [-1, 1]
+    samples: np.ndarray  # float32 where exact, else float64 (see decode_wav); range [-1, 1]
     sample_rate: int
 
 
@@ -46,8 +46,12 @@ def _read_exact(f, n, what):
 
 def decode_wav(path):
     """Decode a RIFF/WAVE file (PCM16 or float32, mono or stereo) to a mono
-    AudioSignal.  Stereo is mixed down by averaging channels; 16-bit samples
-    are scaled by 1/32768."""
+    AudioSignal.  16-bit samples are scaled by 1/32768; stereo is mixed
+    down by averaging channels in float64.  The samples are kept as float32
+    when that holds every value exactly (always for PCM16, mono or stereo,
+    and for mono float32), and as float64 otherwise; frame_interval widens
+    them to float64 one interval at a time, so the features are the same
+    bits either way."""
     with open(path, "rb") as f:
         header = _read_exact(f, 12, "RIFF header")
         if header[:4] != b"RIFF" or header[8:12] != b"WAVE":
@@ -89,18 +93,21 @@ def decode_wav(path):
         raise DecodeError(f"fmt chunk: invalid sample rate {rate}")
     if tag == _PCM and bits == 16:
         raw = np.frombuffer(data[: len(data) // 2 * 2], dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
+        samples = np.divide(raw, 32768, dtype=np.float32)  # k / 2**15 is exact
     elif tag == _IEEE_FLOAT and bits == 32:
         raw = np.frombuffer(data[: len(data) // 4 * 4], dtype="<f4")
-        samples = raw.astype(np.float64)
-        if not np.isfinite(samples).all():
+        if not np.isfinite(raw).all():
             raise DecodeError("data chunk: non-finite sample")
+        samples = raw.astype(np.float32)
     else:
         raise DecodeError(
             f"fmt chunk: unsupported format tag 0x{tag:04X} with {bits} bits per sample"
         )
-    if channels == 2:
-        samples = samples[: len(samples) // 2 * 2].reshape(-1, 2).mean(axis=1)
+    if channels == 2:  # averaged in float64, kept as float32 where that is exact
+        wide = samples[: len(samples) // 2 * 2].reshape(-1, 2).mean(axis=1, dtype=np.float64)
+        samples = wide.astype(np.float32)
+        if not np.array_equal(samples, wide):
+            samples = wide
     if samples.size == 0:
         raise DecodeError("data chunk: no samples")
     return AudioSignal(samples=samples, sample_rate=int(rate))

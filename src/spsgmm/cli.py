@@ -125,13 +125,18 @@ def _pipeline_kwargs(args):
 
 def _interval_s(args):
     """The interval length in seconds, once the interval, frame and hop
-    flags are known to be usable."""
+    flags are known to be usable.  Peaks need two frames, so the interval
+    must last a frame plus a hop.  The rate is not known before decoding, so
+    this compares durations; rounding each to samples can still leave an
+    interval a sample or two short of two frames at the bound, which
+    feature extraction then refuses."""
     if not 0 < args.interval_ms < float("inf"):
         raise InputError(f"--interval-ms must be finite and above 0, got {args.interval_ms}")
     spectral.check_frame(args.frame_ms, args.hop_ms)
-    if args.interval_ms <= args.frame_ms:  # one frame at most; peaks need two
+    if args.interval_ms < args.frame_ms + args.hop_ms:
         raise InputError(
-            f"--interval-ms must be above --frame-ms, got {args.interval_ms}/{args.frame_ms}"
+            "--interval-ms must be at least --frame-ms + --hop-ms, got "
+            f"{args.interval_ms} < {args.frame_ms} + {args.hop_ms}"
         )
     return args.interval_ms / 1000.0
 

@@ -54,9 +54,11 @@ def make_frame_config(sample_rate, frame_ms, hop_ms, window="rect"):
 
 
 def frame_interval(interval, cfg):
-    """(L, frame_len) view of the interval's samples; frame l starts at
-    l*hop, and a final partial frame is dropped."""
-    x = np.asarray(interval.samples if hasattr(interval, "samples") else interval)
+    """(L, frame_len) view of the interval's samples as float64; frame l
+    starts at l*hop, and a final partial frame is dropped.  Narrower samples
+    are widened here, one interval's worth, so the frame stack is never
+    converted."""
+    x = np.asarray(interval.samples if hasattr(interval, "samples") else interval, np.float64)
     if x.size < cfg.frame_len:
         raise ConfigError(
             f"frame_len {cfg.frame_len} exceeds interval length {x.size}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spsgmm.audio_io import (
+    AudioInterval,
     AudioSignal,
     decode_wav,
     load_intervals,
@@ -13,6 +14,9 @@ from spsgmm.audio_io import (
 )
 from spsgmm.errors import DecodeError, InputError
 from spsgmm.pipeline import extract_corpus, extract_features
+from spsgmm.spectral import frame_interval, magnitude_spectra, make_frame_config
+from spsgmm.sps_core import build_peak_matrix
+from spsgmm.synth import speech_interval
 
 from conftest import SR, wav_bytes
 
@@ -121,6 +125,94 @@ class TestDecodeWav:
         np.testing.assert_array_equal(
             decode_wav(pf).samples, x.astype(np.float32).astype(np.float64)
         )
+
+
+def float64_decode(raw, fmt):
+    """The decoder's float64 formula, (n,) mono or (n, 2) stereo raw values:
+    16-bit values over 32768 or float32 values widened, then the mean of the
+    two channels."""
+    x = raw.astype(np.float64) / 32768.0 if fmt == "pcm16" else raw.astype(np.float64)
+    return x.mean(axis=1) if x.ndim == 2 else x
+
+
+def _raw(fmt, channels, seed):
+    rng = np.random.default_rng(seed)
+    shape = (4000, channels) if channels == 2 else (4000,)
+    if fmt == "pcm16":
+        raw = rng.integers(-32768, 32768, shape).astype(np.int16)
+        raw.flat[:4] = [-32768, 32767, -1, 1]  # the extremes and the smallest steps
+        return raw
+    return rng.uniform(-1, 1, shape).astype(np.float32)
+
+
+class TestDecodedDtype:
+    """Decoded samples are float32 where float32 holds every value of the
+    float64 formula exactly, float64 otherwise; no feature sees the
+    difference, because frame_interval widens each interval to float64."""
+
+    @pytest.mark.parametrize(
+        "fmt, channels, dtype",
+        [
+            ("pcm16", 1, np.float32),
+            ("pcm16", 2, np.float32),  # (a + b) / 65536 has at most 17 significant bits
+            ("float32", 1, np.float32),
+            ("float32", 2, np.float64),  # the mean of two float32 values needs 25 bits
+        ],
+    )
+    def test_dtype_and_values(self, make_wav, fmt, channels, dtype):
+        raw = _raw(fmt, channels, seed=channels)
+        sig = decode_wav(make_wav("a.wav", raw, fmt=fmt))
+        assert sig.samples.dtype == dtype
+        want = float64_decode(raw, fmt)
+        assert np.array_equal(sig.samples.astype(np.float64), want)
+
+    def test_float32_stereo_mean_that_fits_stays_float32(self, make_wav):
+        rng = np.random.default_rng(5)
+        raw = (rng.integers(-1024, 1025, (4000, 2)) / 1024).astype(np.float32)
+        raw[::2, 1] = raw[::2, 0]  # equal channels: the mean is either one
+        tiny, big = np.finfo(np.float32).smallest_subnormal, np.finfo(np.float32).max
+        raw[:2] = [[tiny, tiny], [big, big]]
+        sig = decode_wav(make_wav("a.wav", raw, fmt="float32"))
+        assert sig.samples.dtype == np.float32
+        assert np.array_equal(sig.samples.astype(np.float64), float64_decode(raw, "float32"))
+
+    def test_pcm16_kept_at_four_bytes_a_sample(self, make_wav):
+        # widening at decode would double the memory of every decoded corpus
+        sig = decode_wav(make_wav("a.wav", _raw("pcm16", 1, seed=3)))
+        assert sig.samples.nbytes == 4 * sig.samples.size
+        intervals = segment_intervals(AudioSignal(sig.samples, 1000), 1.0)
+        assert len(intervals) == 4
+        assert all(np.shares_memory(iv.samples, sig.samples) for iv in intervals)
+
+    @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
+    @pytest.mark.parametrize("rate", [16000, 22050])
+    def test_features_same_bits_as_float64_copy(self, tmp_path, fmt, rate):
+        path = tmp_path / "a.wav"
+        write_wav(path, speech_interval(np.random.default_rng(rate), rate), rate, fmt=fmt)
+        (narrow,) = segment_intervals(decode_wav(path), 1.0, "a.wav", "speech")
+        assert narrow.samples.dtype == np.float32
+        wide = AudioInterval(
+            samples=narrow.samples.astype(np.float64),
+            sample_rate=rate,
+            source_id="a.wav",
+            index=0,
+            label="speech",
+        )
+        cfg = make_frame_config(rate, 30.0, 1.0)
+        frames = frame_interval(narrow, cfg)
+        assert frames.dtype == np.float64
+        assert np.array_equal(frames, frame_interval(wide, cfg))
+        peaks = [
+            build_peak_matrix(magnitude_spectra(frame_interval(iv, cfg), cfg), 20).data
+            for iv in (narrow, wide)
+        ]
+        assert peaks[0].tobytes() == peaks[1].tobytes()
+        got, _ = extract_features(narrow)
+        want, _ = extract_features(wide)
+        assert got.keys() == want.keys() == {"sps_p", "sps_zcr", "sps_scg", "early_fused"}
+        for kind in want:
+            assert got[kind].values.dtype == want[kind].values.dtype == np.float64
+            assert got[kind].values.tobytes() == want[kind].values.tobytes()
 
 
 class TestSegmentIntervals:

@@ -766,8 +766,34 @@ class TestUsage:
         out = tmp_path / "out"
         r = cli(command, *[ghost] * inputs, "--interval-ms", interval_ms, "--out", out)
         assert r.returncode == 2, r.stderr
-        assert r.stderr == f"error: --interval-ms must be above --frame-ms, got {interval_ms}.0/30.0\n"
+        assert r.stderr == (
+            "error: --interval-ms must be at least --frame-ms + --hop-ms, "
+            f"got {interval_ms}.0 < 30.0 + 1.0\n"
+        )
         assert not out.exists()
+
+    @pytest.mark.parametrize("interval_ms", [30.5, 30.99])
+    def test_interval_of_one_frame_refused_before_decoding(
+        self, cli, corpus_dirs, tmp_path, interval_ms
+    ):
+        # at 22050 Hz 30.5 ms is 672 samples and 30.99 ms 683: one 662-sample
+        # frame, and the second would start 22 samples later
+        out = tmp_path / "feats.csv"
+        r = cli("extract", corpus_dirs[0], "--interval-ms", interval_ms, "--p", 3, "--out", out)
+        assert r.returncode == 2, r.stderr
+        assert r.stderr == (
+            "error: --interval-ms must be at least --frame-ms + --hop-ms, "
+            f"got {interval_ms} < 30.0 + 1.0\n"
+        )
+        assert not out.exists()
+
+    def test_interval_of_a_frame_and_a_hop_extracts(self, cli, speech_wav, tmp_path):
+        # 31 ms at 22050 Hz is 684 samples: exactly two frames of 662 a hop of 22 apart
+        out = tmp_path / "feats.csv"
+        r = cli("extract", speech_wav, "--interval-ms", 31, "--feature", "sps-zcr",
+                "--p", 3, "--out", out)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == f"wrote {out} ({3 * 22050 // 684} rows)\n"
 
 
 def flags_read(command):

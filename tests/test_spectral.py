@@ -87,6 +87,15 @@ class TestFrameInterval:
         with pytest.raises(ConfigError):
             frame_interval(np.zeros(10), FrameConfig(frame_len=64, hop=1))
 
+    def test_float64_framed_in_place_and_float32_widened(self):
+        x = np.random.default_rng(1).standard_normal(500)
+        cfg = FrameConfig(frame_len=64, hop=17)
+        assert np.shares_memory(frame_interval(x, cfg), x)
+        narrow = x.astype(np.float32)
+        frames = frame_interval(narrow, cfg)
+        assert frames.dtype == np.float64
+        np.testing.assert_array_equal(frames, frame_interval(narrow.astype(np.float64), cfg))
+
     def test_count_matches_enumeration_on_1000_triples(self):
         rng = np.random.default_rng(42)
         for _ in range(1000):
