@@ -14,7 +14,7 @@ import warnings
 
 from . import audio_io, pipeline, spectral
 from ._util import atomic_write_text, csv_text
-from .classifier import LABELS, as_rows, grid_search, load_model, save_model, score
+from .classifier import LABELS, as_rows, check_counts, grid_search, load_model, save_model, score
 from .errors import ConfigError, DecodeError, FitError, InputError, SpsgmmError
 from .evaluate import (
     EVAL_KINDS,
@@ -119,17 +119,18 @@ def build_parser():
     return ap
 
 
-def _pipeline_kwargs(args):
-    return dict(frame_ms=args.frame_ms, hop_ms=args.hop_ms, window=args.window, p=args.p)
-
-
-def _interval_s(args):
-    """The interval length in seconds, once the interval, frame and hop
-    flags are known to be usable.  Peaks need two frames, so the interval
+def _front_end(args):
+    """(pipeline keywords, interval in seconds), once every analysis flag is
+    known to be usable.  inspect needs no sps_scg, so one peak row will do;
+    feature extraction needs two.  Peaks need two frames, so the interval
     must last a frame plus a hop.  The rate is not known before decoding, so
     this compares durations; rounding each to samples can still leave an
     interval a sample or two short of two frames at the bound, which
-    feature extraction then refuses."""
+    feature extraction then refuses by file."""
+    if args.command != "inspect":
+        pipeline.check_p(args.p)
+    elif args.p < 1:
+        raise InputError(f"p must be >= 1, got {args.p}")
     if not 0 < args.interval_ms < float("inf"):
         raise InputError(f"--interval-ms must be finite and above 0, got {args.interval_ms}")
     spectral.check_frame(args.frame_ms, args.hop_ms)
@@ -138,22 +139,22 @@ def _interval_s(args):
             "--interval-ms must be at least --frame-ms + --hop-ms, got "
             f"{args.interval_ms} < {args.frame_ms} + {args.hop_ms}"
         )
-    return args.interval_ms / 1000.0
+    kw = dict(frame_ms=args.frame_ms, hop_ms=args.hop_ms, window=args.window, p=args.p)
+    return kw, args.interval_ms / 1000.0
 
 
-def _parse_grid(text):
+def _fit_flags(args):
+    """The K grid, once --k-grid and --seed are known to be usable."""
     try:
-        grid = [int(tok) for tok in text.split(",") if tok.strip()]
+        grid = [int(tok) for tok in args.k_grid.split(",") if tok.strip()]
     except ValueError:
-        raise InputError(f"bad --k-grid {text!r}; expected comma-separated integers")
-    if not grid or any(k < 1 for k in grid):
-        raise InputError(f"bad --k-grid {text!r}; entries must be >= 1")
+        raise InputError(f"bad --k-grid {args.k_grid!r}; expected comma-separated integers")
+    if not grid:
+        raise InputError(f"bad --k-grid {args.k_grid!r}; entries must be >= 1")
+    check_counts("--k-grid", grid)
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     return grid
-
-
-def _check_seed(seed):
-    if seed < 0:
-        raise InputError(f"--seed must be >= 0, got {seed}")
 
 
 def _listing(skipped):
@@ -176,21 +177,21 @@ def _note(msg):
     print(msg, file=sys.stderr)
 
 
-def _extract(intervals, args):
+def _extract(intervals, kw):
     """The feature cache of the intervals, noting any peakless frames."""
-    cache, diag = pipeline.extract_corpus(intervals, **_pipeline_kwargs(args))
+    cache, diag = pipeline.extract_corpus(intervals, **kw)
     if diag["peakless_frames"]:
         _note(f"diagnostics: {diag['peakless_frames']} peakless frames")
     return cache
 
 
 def cmd_extract(args):
-    pipeline.check_p(args.p)
+    kw, interval_s = _front_end(args)
     kinds = KINDS if args.feature == "all" else [_FEATURE_FLAG[args.feature]]
     if "late_fused" in kinds:
         raise InputError("late-fused is a scoring scheme, not an extractable vector")
-    intervals = _load_intervals(args.input, _interval_s(args))
-    cache = _extract(intervals, args)
+    intervals = _load_intervals(args.input, interval_s)
+    cache = _extract(intervals, kw)
     base, ext = os.path.splitext(args.out)
     for kind in kinds:
         vectors = pipeline.vectors_of(cache, intervals, kind)
@@ -201,14 +202,13 @@ def cmd_extract(args):
 
 
 def cmd_train(args):
-    pipeline.check_p(args.p)
-    grid = _parse_grid(args.k_grid)
-    _check_seed(args.seed)
-    intervals, skipped = audio_io.scan_corpus(args.speech_dir, args.music_dir, _interval_s(args))
+    kw, interval_s = _front_end(args)
+    grid = _fit_flags(args)
+    intervals, skipped = audio_io.scan_corpus(args.speech_dir, args.music_dir, interval_s)
     if skipped:
         _note(f"skipped:\n{_listing(skipped)}")
     kind = _FEATURE_FLAG[args.feature]
-    rows = as_rows(pipeline.vectors_of(_extract(intervals, args), intervals, kind))
+    rows = as_rows(pipeline.vectors_of(_extract(intervals, kw), intervals, kind))
     model = grid_search(rows, grid, args.seed)
     save_model(model, args.out)
     meta = model.train_meta
@@ -218,8 +218,7 @@ def cmd_train(args):
 
 
 def cmd_predict(args):
-    pipeline.check_p(args.p)
-    interval_s = _interval_s(args)
+    kw, interval_s = _front_end(args)
     model = load_model(args.model)
     if model.feature_kind not in KINDS:
         raise InputError(f"model feature kind {model.feature_kind!r} not extractable")
@@ -227,7 +226,7 @@ def cmd_predict(args):
     if dim != model.dim:
         raise InputError(f"model expects dim {model.dim}, got {dim}")
     intervals = _load_intervals(args.input, interval_s)
-    vectors = pipeline.vectors_of(_extract(intervals, args), intervals, model.feature_kind)
+    vectors = pipeline.vectors_of(_extract(intervals, kw), intervals, model.feature_kind)
     sc = score(model, as_rows(vectors))
     columns = (sc.decision, sc.margin, sc.log_lik_speech, sc.log_lik_music)
     rows = zip(intervals, *(a.tolist() for a in columns))
@@ -244,20 +243,19 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
-    pipeline.check_p(args.p)
-    grid = _parse_grid(args.k_grid)
-    _check_seed(args.seed)
+    kw, interval_s = _front_end(args)
+    grid = _fit_flags(args)
     cfg = TrialConfig(
         n_trials=args.trials,
         train_frac=args.split,
         seed=args.seed,
         split_unit=args.split_unit,
     )
-    intervals, skipped = audio_io.scan_corpus(args.speech_dir, args.music_dir, _interval_s(args))
+    intervals, skipped = audio_io.scan_corpus(args.speech_dir, args.music_dir, interval_s)
     if skipped:
         _note(f"skipped:\n{_listing(skipped)}")
     kinds = list(EVAL_KINDS) if args.feature == "all" else [_FEATURE_FLAG[args.feature]]
-    cache, diag = pipeline.extract_corpus(intervals, **_pipeline_kwargs(args))
+    cache, diag = pipeline.extract_corpus(intervals, **kw)
     diag["skipped_files"] = len(skipped)
     reports, failed = [], []
     for kind in kinds:
@@ -266,7 +264,7 @@ def cmd_evaluate(args):
                 intervals,
                 kind,
                 cfg,
-                **_pipeline_kwargs(args),
+                **kw,
                 k_grid=grid,
                 feature_cache=cache,
                 diagnostics=diag,
@@ -287,11 +285,10 @@ def cmd_evaluate(args):
 
 
 def cmd_inspect(args):
-    if args.p < 1:  # inspect needs no sps_scg, so one row will do
-        raise InputError(f"p must be >= 1, got {args.p}")
+    kw, interval_s = _front_end(args)
     if args.interval_index < 0:
         raise InputError(f"interval index must be >= 0, got {args.interval_index}")
-    intervals = _load_intervals(args.input, _interval_s(args))
+    intervals = _load_intervals(args.input, interval_s)
     if args.interval_index >= len(intervals):
         raise InputError(
             f"interval index {args.interval_index} out of range (input has {len(intervals)})"
@@ -301,7 +298,7 @@ def cmd_inspect(args):
     chosen = intervals[args.interval_index]
     attrs_list, peakless = [], 0
     for iv in intervals if "dist" in emit else [chosen]:
-        iv_mags, iv_m, attrs = pipeline.analyze(iv, **_pipeline_kwargs(args))
+        iv_mags, iv_m, attrs = pipeline.analyze(iv, **kw)
         peakless += iv_m.peakless_frames
         attrs_list.append(attrs)
         if iv is chosen:

@@ -1,0 +1,120 @@
+"""The CLI's flag checks, run in-process: every bad analysis or fit flag is
+refused with exit 2 before any audio is decoded; and an interval too short
+for two frames at its file's rate is refused by name once the rate is known."""
+
+import numpy as np
+import pytest
+
+from spsgmm import cli as spsgmm_cli
+from spsgmm.audio_io import AudioInterval, write_wav
+from spsgmm.errors import ConfigError
+from spsgmm.pipeline import extract_features
+
+COMMANDS = ("extract", "train", "predict", "evaluate", "inspect")
+
+ANALYSIS_FLAGS = [
+    (["--frame-ms", "1", "--hop-ms", "2"], "need finite frame_ms > hop_ms > 0, got 1.0/2.0"),
+    (["--frame-ms", "inf"], "need finite frame_ms > hop_ms > 0, got inf/1.0"),
+    (["--interval-ms", "30.5"],
+     "--interval-ms must be at least --frame-ms + --hop-ms, got 30.5 < 30.0 + 1.0"),
+    (["--interval-ms", "nan"], "--interval-ms must be finite and above 0, got nan"),
+    (["--interval-ms", "inf"], "--interval-ms must be finite and above 0, got inf"),
+    (["--interval-ms", "0"], "--interval-ms must be finite and above 0, got 0.0"),
+]
+
+FIT_FLAGS = [
+    (["--k-grid", "0"], "--k-grid must be >= 1, got 0"),
+    (["--k-grid", "1,-2,0"], "--k-grid must be >= 1, got -2, 0"),
+    (["--k-grid", "two"], "bad --k-grid 'two'; expected comma-separated integers"),
+    (["--k-grid", ","], "bad --k-grid ','; entries must be >= 1"),
+    (["--seed", "-1"], "--seed must be >= 0, got -1"),
+]
+
+
+def p_case(command):
+    if command == "inspect":  # inspect needs one peak row, extraction two
+        return ["--p", "0"], "p must be >= 1, got 0"
+    return ["--p", "1"], (
+        "p must be >= 2 to extract features, got 1: the centroid gradient of "
+        "sps_scg compares neighbouring peak rows"
+    )
+
+
+CASES = [
+    *[(c, *p_case(c)) for c in COMMANDS],
+    *[(c, flags, msg) for c in COMMANDS for flags, msg in ANALYSIS_FLAGS],
+    *[(c, flags, msg) for c in ("train", "evaluate") for flags, msg in FIT_FLAGS],
+]
+
+
+@pytest.fixture
+def wav(tmp_path):
+    path = tmp_path / "in" / "a.wav"
+    path.parent.mkdir()
+    write_wav(path, np.random.default_rng(0).uniform(-0.5, 0.5, 22050), 22050)
+    return path
+
+
+def argv_of(command, wav, out):
+    inputs = {
+        "extract": [wav],
+        "train": [wav.parent, wav.parent],
+        "predict": [wav.parent / "model.txt", wav],  # the model is never opened
+        "evaluate": [wav.parent, wav.parent],
+        "inspect": [wav],
+    }[command]
+    return [command, *map(str, inputs), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command, flags, message", CASES)
+def test_refused_before_decoding(command, flags, message, wav, tmp_path, monkeypatch, capsys):
+    decoded = []
+    monkeypatch.setattr(spsgmm_cli.audio_io, "decode_wav", decoded.append)
+    out = tmp_path / "out"
+    assert spsgmm_cli.main([*argv_of(command, wav, out), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert decoded == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ("extract", "inspect"))
+def test_good_flags_reach_decoding(command, wav, tmp_path, monkeypatch):
+    # the control for the test above: the recorder is called when no flag is bad
+    decoded = []
+
+    def record(path):
+        decoded.append(path)
+        raise OSError("recorded")
+
+    monkeypatch.setattr(spsgmm_cli.audio_io, "decode_wav", record)
+    assert spsgmm_cli.main([*argv_of(command, wav, tmp_path / "out"), "--p", "2"]) == 2
+    assert decoded == [str(wav)]
+
+
+def test_interval_of_one_frame_at_44100_named_by_file(tmp_path, capsys):
+    # 31 ms passes the duration check, but at 44100 Hz it is 1367 samples: one
+    # 1324-sample frame, and the second, 44 samples later, needs 1368
+    path = tmp_path / "s.wav"
+    write_wav(path, np.random.default_rng(1).uniform(-0.5, 0.5, 44100), 44100)
+    out = tmp_path / "feats.csv"
+    argv = ["extract", str(path), "--interval-ms", "31", "--p", "3", "--out", str(out)]
+    assert spsgmm_cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: s.wav interval 0: 1367 samples at 44100 Hz, but two 1324-sample frames "
+        "44 apart need 1368; lengthen the interval or shorten the frame or the hop\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n, hop_ms", [(1367, 1.0), (1323, 0.01)])  # one frame, and none
+def test_extract_features_names_an_interval_short_of_two_frames(n, hop_ms):
+    iv = AudioInterval(np.zeros(n), 44100, source_id="s.wav", index=7)
+    with pytest.raises(ConfigError, match=rf"^s\.wav interval 7: {n} samples at 44100 Hz, "):
+        extract_features(iv, p=3, hop_ms=hop_ms)
+
+
+def test_two_frames_exactly_extract():
+    # 1368 samples at 44100 Hz: two 1324-sample frames 44 apart
+    iv = AudioInterval(np.zeros(1368), 44100, source_id="s.wav", index=0)
+    _, peakless = extract_features(iv, p=3)
+    assert peakless == 2
