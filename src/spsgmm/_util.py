@@ -10,9 +10,6 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 BLOCK_ROWS = 128
 
-_pool_lock = threading.Lock()
-_pool = None  # (pid, helper count, executor), rebuilt in a forked child
-
 
 def atomic_write_text(path, text):
     """Write text to path via a temp file + rename so a failed run never
@@ -70,16 +67,17 @@ def usable_cores():
     return os.cpu_count() or 1
 
 
-def _helper_pool(n):
-    """A pool of n helper threads, made on first use and made again in a
-    forked child, whose copy of the parent's pool has no threads."""
+def _new_pool():
+    """Make the helper pool.  It starts no thread until map_row_blocks
+    submits a helper, and then one only when none of its threads is idle, up
+    to the executor's default cap."""
     global _pool
-    with _pool_lock:
-        if _pool is None or _pool[:2] != (os.getpid(), n):
-            if _pool is not None and _pool[0] == os.getpid():
-                _pool[2].shutdown(wait=False)  # the affinity changed
-            _pool = (os.getpid(), n, ThreadPoolExecutor(n, thread_name_prefix="spsgmm"))
-        return _pool[2]
+    _pool = ThreadPoolExecutor(thread_name_prefix="spsgmm")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):  # a forked child's copy of the pool has no threads
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def map_row_blocks(fn, n_rows):
@@ -92,8 +90,7 @@ def map_row_blocks(fn, n_rows):
     result.  With one usable core or one block, no thread is started.  fn
     must be safe to call from several threads at once on disjoint rows."""
     blocks = [slice(i, min(i + BLOCK_ROWS, n_rows)) for i in range(0, n_rows, BLOCK_ROWS)]
-    cores = usable_cores()
-    n_helpers = min(cores, len(blocks)) - 1
+    n_helpers = min(usable_cores(), len(blocks)) - 1
     if n_helpers < 1:
         return [fn(rows) for rows in blocks]
     results = [None] * len(blocks)
@@ -108,8 +105,7 @@ def map_row_blocks(fn, n_rows):
                 return
             results[i] = fn(blocks[i])
 
-    pool = _helper_pool(cores - 1)
-    helpers = [pool.submit(work) for _ in range(n_helpers)]
+    helpers = [_pool.submit(work) for _ in range(n_helpers)]
     try:
         work()
     finally:

@@ -206,7 +206,8 @@ def scan_corpus(speech_dir, music_dir, interval_s=1.0):
     gives for each with its label, speech first.  The source id
     "<label>/<file name>" keeps equal file names of the two classes
     distinct.  A class ending up with zero usable intervals is an error
-    that lists the files of that class it skipped."""
+    that lists the files of that class it skipped, and so is a corpus of
+    more than one sample rate, whose features could not share a model."""
     for d in (speech_dir, music_dir):
         if not os.path.isdir(d):
             raise InputError(f"not a directory: {d}")
@@ -220,4 +221,8 @@ def scan_corpus(speech_dir, music_dir, interval_s=1.0):
             )
         intervals += ivs
         skipped += bad
+    at = {iv.sample_rate: iv.source_id for iv in intervals}  # one file at each rate
+    if len(at) > 1:
+        raise InputError("refusing a corpus of more than one sample rate: "
+                         + ", ".join(f"{r} Hz ({s})" for r, s in sorted(at.items())))
     return intervals, skipped

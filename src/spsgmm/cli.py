@@ -314,7 +314,7 @@ def cmd_inspect(args):
     if "sps" in emit:
         write("sps.csv", sps_csv(m))
     if "dist" in emit:
-        zcr_text, ac_text = distribution_csv(attrs_list, args.p)
+        zcr_text, ac_text = distribution_csv(attrs_list)
         write("dist_zcr.csv", zcr_text)
         write("dist_autocorr.csv", ac_text)
     if peakless:

@@ -11,14 +11,13 @@ into whole groups, so the kinds of late fusion line up by construction.
 
 Late fusion reuses the base models that earlier runs already trained.  A run
 of a base kind empties its kind's entries in a module table, then publishes
-each trial's grid-searched model under the key (digest of the kind's stacked
-rows, the trial's train row positions, the K grid, the trial seed): exactly
-the inputs of that grid search, so a hit is the model training would return,
-bit for bit.  Only a late_fused run reads the table, and it pops each entry it
-uses; on a miss it trains as before and publishes nothing.  So
-`evaluate --feature all` fits each base model once, a repeated run of one
-kind repeats its training, and the table holds at most one run's models per
-base kind.
+each trial's grid-searched model under the key (digest of the trial's
+training rows, the K grid, the trial seed): exactly the inputs of that grid
+search, so a hit is the model training would return, bit for bit.  Only a
+late_fused run reads the table, and it pops each entry it uses; on a miss it
+trains as before and publishes nothing.  So `evaluate --feature all` fits
+each base model once, a repeated run of one kind repeats its training, and
+the table holds at most one run's models per base kind.
 """
 
 import hashlib
@@ -81,7 +80,7 @@ class EvalReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-# base kind -> {(rows digest, train positions, K grid, trial seed): GmmModel}
+# base kind -> {(training rows digest, K grid, trial seed): GmmModel}
 _HANDOFF = {}
 
 
@@ -97,29 +96,27 @@ def _digest(rows):
     return h.digest()
 
 
-def _trained(run_kind, rows, train, k_grid, tseed, digest):
-    """grid_search of the rows at the train positions, through the hand-off
-    table: a late_fused run takes a model that a base-kind run published, a
-    base-kind run publishes the one it trains.  digest is _digest(rows)."""
-    key = (digest, train.tobytes(), tuple(k_grid), tseed)
+def _trained(run_kind, train_rows, k_grid, tseed):
+    """grid_search(train_rows, k_grid, tseed) through the hand-off table: a
+    late_fused run takes a model that a base-kind run published, a base-kind
+    run publishes the one it trains."""
+    key = (_digest(train_rows), tuple(k_grid), tseed)
     if run_kind == "late_fused":
-        model = _HANDOFF.get(rows.kind, {}).pop(key, None)
+        model = _HANDOFF.get(train_rows.kind, {}).pop(key, None)
         if model is not None:
             return model
-    model = grid_search(rows.take(train), k_grid, tseed)
+    model = grid_search(train_rows, k_grid, tseed)
     if run_kind in BASE_KINDS:
-        _HANDOFF.setdefault(rows.kind, {})[key] = model
+        _HANDOFF.setdefault(train_rows.kind, {})[key] = model
     return model
 
 
-def _run_trial(groups, rows, kind, cfg, t, k_grid, digests=None):
+def _run_trial(groups, rows, kind, cfg, t, k_grid):
     """(TrialResult, models) of trial t; rows maps kinds to interval-order
-    Rows, groups their rows' split groups, digests (computed when not given)
-    kinds to _digest of their rows."""
-    digests = digests or {k: _digest(r) for k, r in rows.items()}
+    Rows, groups their rows' split groups."""
     tseed = _trial_seed(cfg.seed, t)
     train, test = stratified_split(next(iter(rows.values())).y, groups, cfg.train_frac, tseed)
-    models = {k: _trained(kind, r, train, k_grid, tseed, digests[k]) for k, r in rows.items()}
+    models = {k: _trained(kind, r.take(train), k_grid, tseed) for k, r in rows.items()}
     tested = {k: r.take(test) for k, r in rows.items()}
     if kind == "late_fused":
         scores = late_fuse_score(models, tested)
@@ -172,13 +169,10 @@ def run_experiment(
         if n < 2 and cfg.split_unit == "file":
             raise InputError(f"class {label!r} has a single source file; file-level "
                              "splitting needs >= 2 (try unit='interval')")
-    digests = {k: _digest(r) for k, r in rows.items()}
     if feature_kind in BASE_KINDS:
         _HANDOFF[feature_kind] = {}
-    trials = [
-        _run_trial(groups, rows, feature_kind, cfg, t, k_grid, digests)[0]
-        for t in range(cfg.n_trials)
-    ]
+    trials = [_run_trial(groups, rows, feature_kind, cfg, t, k_grid)[0]
+              for t in range(cfg.n_trials)]
     fs = [tr.f for tr in trials]
     mean_f = sum(fs) / len(fs)
     var_f = sum((x - mean_f) ** 2 for x in fs) / len(fs)

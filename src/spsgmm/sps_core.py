@@ -24,9 +24,6 @@ from .errors import InputError
 @dataclass(frozen=True, eq=False)
 class PeakSequenceMatrix:
     data: np.ndarray  # (p, L) int64 bin indices, columns non-increasing
-    p: int
-    L: int
-    n_f: int
     peakless_frames: int = 0  # diagnostic: frames that had no peak at all
 
 
@@ -98,9 +95,7 @@ def build_peak_matrix(mags, p):
     np.subtract(n_bins - 1, data, out=data)
     peakless = counts == 0
     data[:, peakless] = 0  # a peakless frame's column reads 0
-    return PeakSequenceMatrix(
-        data=data, p=p, L=L, n_f=n_bins, peakless_frames=int(np.count_nonzero(peakless))
-    )
+    return PeakSequenceMatrix(data=data, peakless_frames=int(np.count_nonzero(peakless)))
 
 
 def _rank_exactly(mags, frames, keys, tag_bits):

@@ -40,8 +40,7 @@ def feature_dim(kind, p):
 class SpsAttributes:
     centroids: np.ndarray  # mu_r, length p
     centered: np.ndarray  # C_r = S - mu, (p, L)
-    autocorr: np.ndarray  # A_r, (p, lag_cap + 1)
-    lag_cap: int
+    autocorr: np.ndarray  # A_r, (p, lag cap + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +123,7 @@ def compute_attributes(m):
     # The products may wrap around in int64, but R itself is below 2**63 in
     # magnitude, so the wrapped terms cancel to the exact value.
     R = L * L * P - L * T * (head + tail) + (L - tau) * T * T
-    return SpsAttributes(centroids=mu, centered=C, autocorr=R / L**3, lag_cap=cap)
+    return SpsAttributes(centroids=mu, centered=C, autocorr=R / L**3)
 
 
 def sps_periodicity(attrs, label=None):
@@ -181,17 +180,17 @@ def early_fuse(fp, fz, fs):
     )
 
 
-def distribution_csv(attrs_list, p):
+def distribution_csv(attrs_list):
     """Plot-data export: per-row ZCR histograms (20 bins over [0, 1)) and the
     per-interval-normalized mean autocorrelation per lag, as two CSV texts
-    `row,bin_or_lag,value`."""
+    `row,bin_or_lag,value`, over the lags every interval has."""
     zcr_rows = np.stack([sps_zcr(a).values for a in attrs_list])
     edges = np.linspace(0.0, 1.0, 21)
-    hists = [np.histogram(zcr_rows[:, r], bins=edges)[0].tolist() for r in range(p)]
-    cap = min(a.lag_cap for a in attrs_list)
-    acc = np.zeros((p, cap + 1))
+    hists = [np.histogram(row, bins=edges)[0].tolist() for row in zcr_rows.T]
+    lags = min(a.autocorr.shape[1] for a in attrs_list)
+    acc = np.zeros((zcr_rows.shape[1], lags))
     for a in attrs_list:
-        A = a.autocorr[:, : cap + 1]
+        A = a.autocorr[:, :lags]
         a0 = np.where(A[:, :1] != 0, A[:, :1], 1.0)
         acc += A / a0
     acc /= len(attrs_list)

@@ -155,11 +155,9 @@ def cli():
     """Run the CLI in a fresh interpreter, where a numpy RuntimeWarning is an
     error as it is in the tests themselves."""
 
-    def _run(*args, env_extra=None):
+    def _run(*args):
         env = os.environ.copy()
         env["PYTHONWARNINGS"] = "error::RuntimeWarning"
-        if env_extra:
-            env.update(env_extra)
         return subprocess.run(
             [sys.executable, "-m", "spsgmm", *map(str, args)],
             capture_output=True,

@@ -410,6 +410,20 @@ class TestScanCorpus:
             "44100-sample interval",
         ]
 
+    def test_more_than_one_sample_rate_is_error(self, tmp_path):
+        rng = np.random.default_rng(4)
+        for d in ("speech", "music"):
+            (tmp_path / d).mkdir()
+            write_wav(tmp_path / d / "a.wav", rng.uniform(-0.5, 0.5, SR), SR)
+        write_wav(tmp_path / "speech" / "b.wav", rng.uniform(-0.5, 0.5, 16000), 16000)
+        write_wav(tmp_path / "music" / "c.wav", rng.uniform(-0.5, 0.5, 44100), 44100)
+        with pytest.raises(InputError) as err:
+            scan_corpus(tmp_path / "speech", tmp_path / "music", 1.0)
+        assert str(err.value) == (
+            "refusing a corpus of more than one sample rate: "
+            "16000 Hz (speech/b.wav), 22050 Hz (music/a.wav), 44100 Hz (music/c.wav)"
+        )
+
     def test_missing_directory_is_error(self, tmp_path):
         with pytest.raises(InputError, match="not a directory"):
             scan_corpus(tmp_path / "nope", tmp_path / "nope2", 1.0)

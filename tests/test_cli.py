@@ -20,8 +20,15 @@ from spsgmm.classifier import load_model, score
 from spsgmm.pipeline import extract_features
 
 from conftest import wav_bytes
+from test_cli_checks import CASES, assert_refused, p_case
 
-pytestmark = pytest.mark.slow  # every test here forks a fresh interpreter
+pytestmark = pytest.mark.slow  # most tests here fork a fresh interpreter
+
+
+def refused(command, flags, tmp_path, capsys):
+    """The in-process check of the flag table's row for command and flags."""
+    message = next(m for c, f, m in CASES if (c, f) == (command, flags))
+    assert_refused(command, flags, message, tmp_path, capsys)
 
 
 @pytest.fixture(scope="module")
@@ -141,30 +148,13 @@ class TestExtract:
         assert "Traceback" not in r.stderr
         assert not out.exists()
 
-    def test_single_row_names_p(self, cli, speech_wav, tmp_path):
-        out = tmp_path / "feats.csv"
-        r = cli("extract", speech_wav, "--feature", "sps-p", "--p", 1, "--out", out)
-        assert r.returncode == 2, r.stderr
-        assert "p must be >= 2 to extract features, got 1" in r.stderr
-        assert not out.exists()
+    def test_single_row_names_p(self, tmp_path, capsys):
+        assert_refused("extract", ["--feature", "sps-p", "--p", "1"], p_case("extract")[1],
+                       tmp_path, capsys)
 
     @pytest.mark.parametrize("command", ["extract", "train", "predict", "evaluate"])
-    def test_p_checked_before_decoding(self, cli, model_path, tmp_path, command):
-        bad = tmp_path / "bad"
-        bad.mkdir()
-        (bad / "broken.wav").write_bytes(b"not a wav file")
-        out = tmp_path / "out"
-        inputs = {
-            "extract": [bad],
-            "train": [bad, bad],
-            "predict": [model_path, bad],
-            "evaluate": [bad, bad],
-        }[command]
-        r = cli(command, *inputs, "--p", 1, "--out", out)
-        assert r.returncode == 2, r.stderr
-        assert "p must be >= 2 to extract features, got 1" in r.stderr
-        assert "RIFF" not in r.stderr
-        assert not out.exists()
+    def test_p_checked_before_decoding(self, tmp_path, capsys, command):
+        refused(command, p_case(command)[0], tmp_path, capsys)
 
     def test_late_fused_not_extractable(self, cli, speech_wav, tmp_path):
         r = cli(
@@ -540,33 +530,14 @@ class TestInspect:
         assert len((tmp_path / "sps.csv").read_text().splitlines()) == 1 + 973
         assert len((tmp_path / "dist_zcr.csv").read_text().splitlines()) == 1 + 20
 
-    def test_p_checked_before_reading_the_input(self, cli, speech_wav, tmp_path):
-        out = tmp_path / "out"
-        r = cli("inspect", tmp_path / "missing.wav", "--p", 0, "--out", out)
-        assert r.returncode == 2
-        assert "p must be >= 1, got 0" in r.stderr and "missing.wav" not in r.stderr
-        assert not out.exists()
+    def test_p_checked_before_reading_the_input(self, tmp_path, capsys):
+        refused("inspect", ["--p", "0"], tmp_path, capsys)
 
-    def test_p_checked_before_decoding(self, speech_wav, tmp_path, monkeypatch, capsys):
-        decoded = []
-        monkeypatch.setattr(spsgmm_cli.audio_io, "decode_wav", decoded.append)
-        out = tmp_path / "out"
-        assert spsgmm_cli.main(["inspect", str(speech_wav), "--p", "0", "--out", str(out)]) == 2
-        assert "error: p must be >= 1, got 0" in capsys.readouterr().err
-        assert decoded == []
-        assert not out.exists()
+    def test_p_checked_before_decoding(self, tmp_path, capsys):
+        refused("inspect", ["--p", "0"], tmp_path, capsys)
 
-    def test_frame_and_hop_checked_before_decoding(
-        self, speech_wav, tmp_path, monkeypatch, capsys
-    ):
-        decoded = []
-        monkeypatch.setattr(spsgmm_cli.audio_io, "decode_wav", decoded.append)
-        out = tmp_path / "out"
-        argv = ["inspect", str(speech_wav), "--frame-ms", "1", "--hop-ms", "2", "--out", str(out)]
-        assert spsgmm_cli.main(argv) == 2
-        assert "error: need finite frame_ms > hop_ms > 0, got 1.0/2.0" in capsys.readouterr().err
-        assert decoded == []
-        assert not out.exists()
+    def test_frame_and_hop_checked_before_decoding(self, tmp_path, capsys):
+        refused("inspect", ["--frame-ms", "1", "--hop-ms", "2"], tmp_path, capsys)
 
     def test_negative_interval_index_refused_before_reading_the_input(self, cli, tmp_path):
         out = tmp_path / "out"
@@ -664,19 +635,12 @@ class TestUsage:
         assert r.returncode == 2
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
-    def test_bad_grid_checked_before_scanning(self, cli, tmp_path, command):
-        ghost = tmp_path / "nowhere"
-        r = cli(command, ghost, ghost, "--k-grid", "two", "--out", tmp_path / "out")
-        assert r.returncode == 2
-        assert "bad --k-grid 'two'" in r.stderr
-        assert "not a directory" not in r.stderr
+    def test_bad_grid_checked_before_scanning(self, tmp_path, capsys, command):
+        refused(command, ["--k-grid", "two"], tmp_path, capsys)
 
     @pytest.mark.parametrize("command", ["train", "evaluate"])
-    def test_negative_seed_refused_before_scanning(self, cli, tmp_path, command):
-        ghost = tmp_path / "nowhere"
-        r = cli(command, ghost, ghost, "--seed", -1, "--out", tmp_path / "out")
-        assert r.returncode == 2
-        assert r.stderr == "error: --seed must be >= 0, got -1\n"
+    def test_negative_seed_refused_before_scanning(self, tmp_path, capsys, command):
+        refused(command, ["--seed", "-1"], tmp_path, capsys)
 
     def test_warnings_shown_once_each_without_a_source_path(self, monkeypatch, capsys):
         def command(args):
@@ -716,76 +680,27 @@ class TestUsage:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "1e400", "0"])
     @pytest.mark.parametrize("command", ["extract", "inspect", "train"])
-    def test_interval_ms_must_be_finite_and_positive(self, cli, corpus_dirs, tmp_path, command, value):
-        inputs = {
-            "extract": [corpus_dirs[0]],
-            "inspect": [corpus_dirs[0] / "sp00.wav"],
-            "train": list(corpus_dirs),
-        }[command]
-        out = tmp_path / "out"
-        r = cli(command, *inputs, "--interval-ms", value, "--out", out)
-        assert r.returncode == 2, r.stderr
-        shown = {"1e400": "inf", "0": "0.0"}.get(value, value)
-        assert f"--interval-ms must be finite and above 0, got {shown}" in r.stderr
-        assert "Traceback" not in r.stderr
-        assert not out.exists()
+    def test_interval_ms_must_be_finite_and_positive(self, tmp_path, capsys, command, value):
+        refused(command, ["--interval-ms", value], tmp_path, capsys)
 
     @pytest.mark.parametrize("flag", ["--frame-ms", "--hop-ms"])
-    def test_infinite_frame_or_hop_exits_2(self, cli, speech_wav, tmp_path, flag):
-        r = cli("extract", speech_wav, flag, "inf", "--out", tmp_path / "x.csv")
-        assert r.returncode == 2, r.stderr
-        assert "need finite frame_ms > hop_ms > 0, got" in r.stderr
-        assert "Traceback" not in r.stderr
+    def test_infinite_frame_or_hop_exits_2(self, tmp_path, capsys, flag):
+        refused("extract", [flag, "inf"], tmp_path, capsys)
 
     @pytest.mark.parametrize("command", ["extract", "train", "predict", "evaluate", "inspect"])
-    def test_frame_and_hop_checked_before_decoding(self, cli, model_path, tmp_path, command):
-        bad = tmp_path / "bad"
-        bad.mkdir()
-        (bad / "broken.wav").write_bytes(b"not a wav file")
-        out = tmp_path / "out"
-        inputs = {
-            "extract": [bad],
-            "train": [bad, bad],
-            "predict": [model_path, bad],
-            "evaluate": [bad, bad],
-            "inspect": [bad],
-        }[command]
-        r = cli(command, *inputs, "--frame-ms", 1, "--hop-ms", 2, "--out", out)
-        assert r.returncode == 2, r.stderr
-        assert "need finite frame_ms > hop_ms > 0, got 1.0/2.0" in r.stderr
-        assert "RIFF" not in r.stderr
-        assert not out.exists()
+    def test_frame_and_hop_checked_before_decoding(self, tmp_path, capsys, command):
+        refused(command, ["--frame-ms", "1", "--hop-ms", "2"], tmp_path, capsys)
 
     @pytest.mark.parametrize("interval_ms", [10, 30])
     @pytest.mark.parametrize("command", ["extract", "train", "predict", "evaluate", "inspect"])
     def test_interval_no_longer_than_a_frame_refused_before_reading(
-        self, cli, tmp_path, command, interval_ms
+        self, tmp_path, capsys, command, interval_ms
     ):
-        ghost = tmp_path / "ghost"  # neither the input nor the model exists
-        inputs = {"extract": 1, "train": 2, "predict": 2, "evaluate": 2, "inspect": 1}[command]
-        out = tmp_path / "out"
-        r = cli(command, *[ghost] * inputs, "--interval-ms", interval_ms, "--out", out)
-        assert r.returncode == 2, r.stderr
-        assert r.stderr == (
-            "error: --interval-ms must be at least --frame-ms + --hop-ms, "
-            f"got {interval_ms}.0 < 30.0 + 1.0\n"
-        )
-        assert not out.exists()
+        refused(command, ["--interval-ms", str(interval_ms)], tmp_path, capsys)
 
     @pytest.mark.parametrize("interval_ms", [30.5, 30.99])
-    def test_interval_of_one_frame_refused_before_decoding(
-        self, cli, corpus_dirs, tmp_path, interval_ms
-    ):
-        # at 22050 Hz 30.5 ms is 672 samples and 30.99 ms 683: one 662-sample
-        # frame, and the second would start 22 samples later
-        out = tmp_path / "feats.csv"
-        r = cli("extract", corpus_dirs[0], "--interval-ms", interval_ms, "--p", 3, "--out", out)
-        assert r.returncode == 2, r.stderr
-        assert r.stderr == (
-            "error: --interval-ms must be at least --frame-ms + --hop-ms, "
-            f"got {interval_ms} < 30.0 + 1.0\n"
-        )
-        assert not out.exists()
+    def test_interval_of_one_frame_refused_before_decoding(self, tmp_path, capsys, interval_ms):
+        refused("extract", ["--interval-ms", str(interval_ms)], tmp_path, capsys)
 
     def test_interval_of_a_frame_and_a_hop_extracts(self, cli, speech_wav, tmp_path):
         # 31 ms at 22050 Hz is 684 samples: exactly two frames of 662 a hop of 22 apart

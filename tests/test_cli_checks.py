@@ -1,6 +1,8 @@
 """The CLI's flag checks, run in-process: every bad analysis or fit flag is
-refused with exit 2 before any audio is decoded; and an interval too short
-for two frames at its file's rate is refused by name once the rate is known."""
+refused with exit 2 before any path is opened, so before any audio is
+decoded; a corpus of two sample rates is refused before any feature is
+extracted; and an interval too short for two frames at its file's rate is
+refused by name once the rate is known."""
 
 import numpy as np
 import pytest
@@ -31,6 +33,20 @@ FIT_FLAGS = [
 ]
 
 
+# inputs added after the rows above, listed last so that each case keeps its id
+MORE_ANALYSIS_FLAGS = [
+    (["--interval-ms", "1e400"], "--interval-ms must be finite and above 0, got inf"),
+    (["--interval-ms", "10"],
+     "--interval-ms must be at least --frame-ms + --hop-ms, got 10.0 < 30.0 + 1.0"),
+    (["--interval-ms", "30"],
+     "--interval-ms must be at least --frame-ms + --hop-ms, got 30.0 < 30.0 + 1.0"),
+    # 683 samples at 22050 Hz: one 662-sample frame, the second 22 samples on
+    (["--interval-ms", "30.99"],
+     "--interval-ms must be at least --frame-ms + --hop-ms, got 30.99 < 30.0 + 1.0"),
+    (["--hop-ms", "inf"], "need finite frame_ms > hop_ms > 0, got 30.0/inf"),
+]
+
+
 def p_case(command):
     if command == "inspect":  # inspect needs one peak row, extraction two
         return ["--p", "0"], "p must be >= 1, got 0"
@@ -44,6 +60,7 @@ CASES = [
     *[(c, *p_case(c)) for c in COMMANDS],
     *[(c, flags, msg) for c in COMMANDS for flags, msg in ANALYSIS_FLAGS],
     *[(c, flags, msg) for c in ("train", "evaluate") for flags, msg in FIT_FLAGS],
+    *[(c, flags, msg) for c in COMMANDS for flags, msg in MORE_ANALYSIS_FLAGS],
 ]
 
 
@@ -66,20 +83,24 @@ def argv_of(command, wav, out):
     return [command, *map(str, inputs), "--out", str(out)]
 
 
-@pytest.mark.parametrize("command, flags, message", CASES)
-def test_refused_before_decoding(command, flags, message, wav, tmp_path, monkeypatch, capsys):
-    decoded = []
-    monkeypatch.setattr(spsgmm_cli.audio_io, "decode_wav", decoded.append)
+def assert_refused(command, flags, message, tmp_path, capsys):
+    """command with flags, on paths that do not exist, exits 2 with message
+    alone on stderr and writes nothing: the flags were refused before any
+    path was opened, so before any audio was decoded."""
     out = tmp_path / "out"
-    assert spsgmm_cli.main([*argv_of(command, wav, out), *flags]) == 2
+    assert spsgmm_cli.main([*argv_of(command, tmp_path / "missing" / "a.wav", out), *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert decoded == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, message", CASES)
+def test_refused_before_decoding(command, flags, message, tmp_path, capsys):
+    assert_refused(command, flags, message, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("command", ("extract", "inspect"))
 def test_good_flags_reach_decoding(command, wav, tmp_path, monkeypatch):
-    # the control for the test above: the recorder is called when no flag is bad
+    # the control for the table: with no bad flag, a run decodes its input
     decoded = []
 
     def record(path):
@@ -89,6 +110,27 @@ def test_good_flags_reach_decoding(command, wav, tmp_path, monkeypatch):
     monkeypatch.setattr(spsgmm_cli.audio_io, "decode_wav", record)
     assert spsgmm_cli.main([*argv_of(command, wav, tmp_path / "out"), "--p", "2"]) == 2
     assert decoded == [str(wav)]
+
+
+@pytest.mark.parametrize("command", ("train", "evaluate"))
+def test_corpus_of_two_rates_refused_before_extraction(command, tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(2)
+    for label in ("speech", "music"):
+        (tmp_path / label).mkdir()
+        write_wav(tmp_path / label / "a.wav", rng.uniform(-0.5, 0.5, 22050), 22050)
+    write_wav(tmp_path / "speech" / "b.wav", rng.uniform(-0.5, 0.5, 44100), 44100)
+    extracted = []
+    monkeypatch.setattr(spsgmm_cli.pipeline, "extract_corpus", lambda *a, **kw: extracted.append(a))
+    out = tmp_path / "out"
+    argv = [command, str(tmp_path / "speech"), str(tmp_path / "music"), "--p", "3",
+            "--k-grid", "1", "--out", str(out)]
+    assert spsgmm_cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: refusing a corpus of more than one sample rate: "
+        "22050 Hz (music/a.wav), 44100 Hz (speech/b.wav)\n"
+    )
+    assert extracted == []
+    assert not out.exists()
 
 
 def test_interval_of_one_frame_at_44100_named_by_file(tmp_path, capsys):

@@ -445,7 +445,7 @@ class TestLateFusionHandOff:
         self.run(corpus_intervals, cache, "sps_p")
         later = dataclasses.replace(self.CFG, seed=8)
         self.run(corpus_intervals, cache, "sps_p", later)
-        assert sorted(key[3] for key in _HANDOFF["sps_p"]) == [_trial_seed(8, t) for t in range(2)]
+        assert sorted(key[2] for key in _HANDOFF["sps_p"]) == [_trial_seed(8, t) for t in range(2)]
         assert list(_HANDOFF) == ["sps_p"]
 
 

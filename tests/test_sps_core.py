@@ -131,7 +131,7 @@ class TestBuildPeakMatrix:
         rng = np.random.default_rng(0)
         mags = _random_spectra(rng, 2, 40)
         m = build_peak_matrix(mags, 5)
-        assert (m.p, m.L, m.n_f) == (5, 2, 40)
+        assert m.data.shape == (5, 2)
         for l in range(2):
             ks = oracles.detect_peaks(mags[l])
             want = oracles.select_prominent(ks, [float(mags[l, k]) for k in ks], 5)
@@ -169,7 +169,7 @@ class TestBuildPeakMatrix:
         mags = np.random.default_rng(n_bins).random((4, n_bins)) + 1.0
         m = build_peak_matrix(mags, 3)
         np.testing.assert_array_equal(m.data, np.zeros((3, 4)))
-        assert (m.peakless_frames, m.n_f) == (4, n_bins)
+        assert m.peakless_frames == 4
 
     def test_single_spectrum_error(self):
         with pytest.raises(InputError, match="at least 2"):

@@ -41,7 +41,6 @@ def crafted_attrs(autocorr_rows):
         centroids=np.zeros(a.shape[0]),
         centered=np.zeros((a.shape[0], 2)),
         autocorr=a,
-        lag_cap=a.shape[1] - 1,
     )
 
 
@@ -50,7 +49,7 @@ class TestComputeAttributes:
         attrs = compute_attributes(np.array([[4, 6, 8]]))
         assert attrs.centroids[0] == 6
         np.testing.assert_array_equal(attrs.centered[0], [-2, 0, 2])
-        assert attrs.lag_cap == 2
+        assert attrs.autocorr.shape == (1, 3)  # lags 0 to the cap, 2
         np.testing.assert_allclose(attrs.autocorr[0], [8 / 3, 0.0, -4 / 3], atol=1e-15)
 
     def test_constant_row(self):
@@ -409,8 +408,8 @@ class TestCsvExports:
     def test_distribution_csv(self):
         rng = np.random.default_rng(3)
         attrs = [compute_attributes(rng.integers(0, 64, (4, 12))) for _ in range(5)]
-        zcr_lines, ac_lines = (t.splitlines() for t in distribution_csv(attrs, 4))
+        zcr_lines, ac_lines = (t.splitlines() for t in distribution_csv(attrs))
         assert zcr_lines[0] == ac_lines[0] == "row,bin_or_lag,value"
         assert len(zcr_lines) == 1 + 4 * 20
-        cap = min(a.lag_cap for a in attrs)
+        cap = min(a.autocorr.shape[1] - 1 for a in attrs)
         assert len(ac_lines) == 1 + 4 * (cap + 1)
