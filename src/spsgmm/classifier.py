@@ -270,20 +270,26 @@ def _em(xs, K, rng, max_iter, tol):
     return fits
 
 
-def check_counts(name, values):
-    """Refuse, by name, values that are not integers >= 1 (numpy ints count)."""
+def check_counts(name, values, least=1):
+    """Refuse, by name, values that are not integers >= least (numpy ints count)."""
     odd = [v for v in values if isinstance(v, bool) or not isinstance(v, (int, np.integer))]
     if odd:
         raise InputError(f"{name} must be an integer, got {', '.join(map(repr, odd))}")
-    bad = [v for v in values if v < 1]
+    bad = [v for v in values if v < least]
     if bad:
-        raise InputError(f"{name} must be >= 1, got {', '.join(map(str, bad))}")
+        raise InputError(f"{name} must be >= {least}, got {', '.join(map(str, bad))}")
+
+
+def check_seed(name, value):
+    """Refuse, by name, a seed that is not an integer >= 0."""
+    check_counts(name, [value], least=0)
 
 
 def fit_gmm(train, K, seed=0):
     """Fit one K-component diagonal GMM per class on z-scored features;
     train is labelled Rows or a list of labelled FeatureVectors."""
     check_counts("K", [K])
+    check_seed("seed", seed)
     rows = train if isinstance(train, Rows) else as_rows(train)
     if rows.by_class is None:
         raise InputError("training rows must be labeled, with codes 0 (speech) and 1 (music)")
@@ -371,6 +377,7 @@ def grid_search(train, grid=DEFAULT_K_GRID, seed=0):
     if not grid:
         raise FitError("empty K grid")
     check_counts("K", grid)
+    check_seed("seed", seed)
     rows = train if isinstance(train, Rows) else as_rows(train)
     if rows.y is None:
         raise InputError("training rows must be labeled")

@@ -14,7 +14,8 @@ import warnings
 
 from . import audio_io, pipeline, spectral
 from ._util import atomic_write_text, csv_text
-from .classifier import LABELS, as_rows, check_counts, grid_search, load_model, save_model, score
+from .classifier import (LABELS, as_rows, check_counts, check_seed, grid_search, load_model,
+                         save_model, score)
 from .errors import ConfigError, DecodeError, FitError, InputError, SpsgmmError
 from .evaluate import (
     EVAL_KINDS,
@@ -152,8 +153,7 @@ def _fit_flags(args):
     if not grid:
         raise InputError(f"bad --k-grid {args.k_grid!r}; entries must be >= 1")
     check_counts("--k-grid", grid)
-    if args.seed < 0:
-        raise InputError(f"--seed must be >= 0, got {args.seed}")
+    check_seed("--seed", args.seed)
     return grid
 
 

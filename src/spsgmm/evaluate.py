@@ -9,18 +9,18 @@ run in any order without changing the result.  Each experiment stacks each
 kind it trains once, as Rows in interval order, and splits them by position
 into whole groups, so the kinds of late fusion line up by construction.
 
-Late fusion reuses the base models that earlier runs already trained.  A run
-of a base kind empties its kind's entries in a module table, then publishes
-each trial's grid-searched model under the key (digest of the trial's
-training rows, the K grid, the trial seed): exactly the inputs of that grid
-search, so a hit is the model training would return, bit for bit.  Only a
-late_fused run reads the table, and it pops each entry it uses; on a miss it
-trains as before and publishes nothing.  So `evaluate --feature all` fits
-each base model once, a repeated run of one kind repeats its training, and
-the table holds at most one run's models per base kind.
+Late fusion reuses the base models that earlier runs already trained.  After
+all its trials, a run of a base kind stores one record in a module table,
+replacing its kind's last one: what its grid searches read (the kind's rows,
+the split groups, train_frac, the master seed, the K grid and n_trials) and
+its per-trial models.  A late_fused run takes every base kind's record out of
+the table, and reuses its models only when those inputs equal its own, arrays
+byte for byte: equal inputs give equal trial seeds and splits, so each reused
+model is the one training would return, bit for bit.  Otherwise it trains,
+and it stores nothing.  So `evaluate --feature all` fits each base model once,
+and the table holds at most one run's models per base kind.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +31,7 @@ from .classifier import (
     LABELS,
     as_rows,
     check_counts,
+    check_seed,
     confusion_matrix,
     f_score,
     grid_search,
@@ -56,8 +57,7 @@ class TrialConfig:
         if not 0.0 < self.train_frac < 1.0:
             raise InputError(f"train_frac must be in (0, 1), got {self.train_frac}")
         check_counts("n_trials", [self.n_trials])
-        if self.seed < 0:
-            raise InputError(f"seed must be >= 0, got {self.seed}")
+        check_seed("seed", self.seed)
         if self.split_unit not in ("file", "interval"):
             raise InputError(f"split_unit must be 'file' or 'interval', got {self.split_unit!r}")
 
@@ -80,7 +80,7 @@ class EvalReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-# base kind -> {(training rows digest, K grid, trial seed): GmmModel}
+# base kind -> (what its last run's grid searches read, its per-trial models)
 _HANDOFF = {}
 
 
@@ -88,35 +88,23 @@ def _trial_seed(master, t):
     return master * 1_000_003 + t
 
 
-def _digest(rows):
-    """blake2b of a Rows table: the shape and dtype of X, then X and y."""
-    h = hashlib.blake2b(f"{rows.X.shape} {rows.X.dtype.str}".encode())
-    h.update(rows.X.tobytes())
-    h.update(rows.y.tobytes())  # unlabelled rows never reach a trial
-    return h.digest()
+def _same(a, b):
+    """Whether two runs' grid-search inputs are equal, arrays byte for byte."""
+    return all(
+        (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(a, b, strict=True)
+    )
 
 
-def _trained(run_kind, train_rows, k_grid, tseed):
-    """grid_search(train_rows, k_grid, tseed) through the hand-off table: a
-    late_fused run takes a model that a base-kind run published, a base-kind
-    run publishes the one it trains."""
-    key = (_digest(train_rows), tuple(k_grid), tseed)
-    if run_kind == "late_fused":
-        model = _HANDOFF.get(train_rows.kind, {}).pop(key, None)
-        if model is not None:
-            return model
-    model = grid_search(train_rows, k_grid, tseed)
-    if run_kind in BASE_KINDS:
-        _HANDOFF.setdefault(train_rows.kind, {})[key] = model
-    return model
-
-
-def _run_trial(groups, rows, kind, cfg, t, k_grid):
+def _run_trial(groups, rows, kind, cfg, t, k_grid, reused):
     """(TrialResult, models) of trial t; rows maps kinds to interval-order
-    Rows, groups their rows' split groups."""
+    Rows, groups their rows' split groups, and reused kinds to the per-trial
+    models to take instead of training."""
     tseed = _trial_seed(cfg.seed, t)
     train, test = stratified_split(next(iter(rows.values())).y, groups, cfg.train_frac, tseed)
-    models = {k: _trained(kind, r.take(train), k_grid, tseed) for k, r in rows.items()}
+    models = {k: reused[k][t] if k in reused else grid_search(r.take(train), k_grid, tseed)
+              for k, r in rows.items()}
     tested = {k: r.take(test) for k, r in rows.items()}
     if kind == "late_fused":
         scores = late_fuse_score(models, tested)
@@ -169,10 +157,15 @@ def run_experiment(
         if n < 2 and cfg.split_unit == "file":
             raise InputError(f"class {label!r} has a single source file; file-level "
                              "splitting needs >= 2 (try unit='interval')")
+    read = {k: (r.X, r.y, groups, cfg.train_frac, cfg.seed, tuple(k_grid), cfg.n_trials)
+            for k, r in rows.items()}
+    records = {k: _HANDOFF.pop(k, None) for k in kinds} if feature_kind == "late_fused" else {}
+    reused = {k: rec[1] for k, rec in records.items() if rec and _same(rec[0], read[k])}
+    runs = [_run_trial(groups, rows, feature_kind, cfg, t, k_grid, reused)
+            for t in range(cfg.n_trials)]
     if feature_kind in BASE_KINDS:
-        _HANDOFF[feature_kind] = {}
-    trials = [_run_trial(groups, rows, feature_kind, cfg, t, k_grid)[0]
-              for t in range(cfg.n_trials)]
+        _HANDOFF[feature_kind] = (read[feature_kind], [models[feature_kind] for _, models in runs])
+    trials = [trial for trial, _ in runs]
     fs = [tr.f for tr in trials]
     mean_f = sum(fs) / len(fs)
     var_f = sum((x - mean_f) ** 2 for x in fs) / len(fs)

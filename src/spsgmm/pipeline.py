@@ -28,7 +28,7 @@ def analyze(interval, *, frame_ms=30.0, hop_ms=1.0, window="rect", p=20):
         )
     mags = magnitude_spectra(frame_interval(interval, cfg), cfg)
     m = build_peak_matrix(mags, p)
-    return mags, m, compute_attributes(m)
+    return mags, m, compute_attributes(m.data)
 
 
 def check_p(p):
@@ -47,7 +47,7 @@ def extract_features(interval, *, frame_ms=30.0, hop_ms=1.0, window="rect", p=20
     _, m, attrs = analyze(interval, frame_ms=frame_ms, hop_ms=hop_ms, window=window, p=p)
     fp = sps_periodicity(attrs, interval.label)
     fz = sps_zcr(attrs, interval.label)
-    fs = sps_scg(m, attrs, interval.label)
+    fs = sps_scg(attrs, interval.label)
     vectors = {
         "sps_p": fp,
         "sps_zcr": fz,

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._util import cells, csv_text, is_smooth
 from .errors import ConfigError, InputError
-from .sps_core import PeakSequenceMatrix, interior_maxima
+from .sps_core import interior_maxima
 
 BASE_KINDS = ("sps_p", "sps_zcr", "sps_scg")
 KINDS = BASE_KINDS + ("early_fused",)
@@ -60,10 +60,6 @@ def lag_cap(L):
     return (L + 1) // 2
 
 
-def _matrix_data(m):
-    return m.data if isinstance(m, PeakSequenceMatrix) else np.asarray(m)
-
-
 def _lagged_sum_error_bound(L, hi, n):
     """Worst-case |P^ - P| for lagged sums P of L values in [0, hi] computed
     through length-n FFTs: e * L * hi**2 * (3 + 4 * sqrt(L)).
@@ -88,11 +84,11 @@ def _lagged_sum_error_bound(L, hi, n):
     return k / (1 - k) * L * hi**2 * (3 + 4 * np.sqrt(L))
 
 
-def compute_attributes(m):
+def compute_attributes(S):
     """Centroid, centered rows, and biased autocorrelation up to the lag cap
-    (L/2 for even L, (L+1)/2 for odd) of a matrix of non-negative integer
-    bin indices."""
-    S = _matrix_data(m)
+    (L/2 for even L, (L+1)/2 for odd) of a (p, L) array of non-negative
+    integer bin indices."""
+    S = np.asarray(S)
     if S.ndim != 2 or S.shape[1] < 2:
         raise InputError(f"need a (p, L>=2) matrix, got shape {S.shape}")
     if not np.issubdtype(S.dtype, np.integer) or S.min(initial=0) < 0:
@@ -151,15 +147,14 @@ def sps_zcr(attrs, label=None):
     return FeatureVector(kind="sps_zcr", values=counts / (2 * L), label=label)
 
 
-def sps_scg(m, attrs, label=None):
+def sps_scg(attrs, label=None):
     """[mu | sigma | dmu]: per-row centroid, population standard deviation,
     and centroid gradient across rows (central differences, one-sided at the
     ends)."""
-    S = _matrix_data(m)
-    p = S.shape[0]
+    mu = attrs.centroids
+    p = mu.size
     if p < 2:
         raise ConfigError(f"sps_scg needs p >= 2 rows, got {p}")
-    mu = attrs.centroids
     sigma = np.sqrt(attrs.autocorr[:, 0])
     dmu = np.empty(p)
     dmu[0] = mu[1] - mu[0]

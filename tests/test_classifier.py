@@ -173,6 +173,16 @@ class TestFitGmm:
         with pytest.raises(InputError, match=re.escape(f"K must be an integer, got {K!r}")):
             fit_gmm(blobs(7, 20), K=K)
 
+    @pytest.mark.parametrize(
+        "seed,match",
+        [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5"),
+         (True, "seed must be an integer, got True")],
+    )
+    def test_bad_seed_is_error_before_any_fit(self, seed, match, monkeypatch):
+        no_fitting(monkeypatch)
+        with pytest.raises(InputError, match=match):
+            fit_gmm(blobs(7, 20), K=1, seed=seed)
+
     def test_numpy_integer_k_is_accepted(self):
         train = blobs(7, 20)
         assert model_to_text(fit_gmm(train, np.int64(2))) == model_to_text(fit_gmm(train, 2))
@@ -501,6 +511,19 @@ class TestGridSearch:
             grid_search(blobs(14, 10), grid=[1, 2.0], seed=0)
         with pytest.raises(InputError, match="K must be an integer, got True"):
             grid_search(blobs(14, 10), grid=[True], seed=0)
+
+    @pytest.mark.parametrize(
+        "seed,match",
+        [(-1, "seed must be >= 0, got -1"), (1.5, "seed must be an integer, got 1.5"),
+         (True, "seed must be an integer, got True")],
+    )
+    def test_bad_seed_is_error_before_any_split(self, seed, match, monkeypatch):
+        def split(*args):
+            raise AssertionError("split before the seed was checked")
+
+        monkeypatch.setattr(classifier, "stratified_split", split)
+        with pytest.raises(InputError, match=match):
+            grid_search(blobs(14, 10), grid=[1], seed=seed)
 
     def test_list_and_rows_give_the_same_model(self):
         train = blobs(15, 40, d=3, sep=2.0)

@@ -168,6 +168,8 @@ class TestTrialConfig:
             (dict(n_trials=2.5), "n_trials must be an integer, got 2.5"),
             (dict(n_trials=True), "n_trials must be an integer, got True"),
             (dict(seed=-1), "seed must be >= 0, got -1"),
+            (dict(seed=1.5), "seed must be an integer, got 1.5"),
+            (dict(seed=True), "seed must be an integer, got True"),
         ],
     )
     def test_validation(self, kwargs, match):
@@ -236,7 +238,7 @@ class TestRunExperiment:
         )
         rows = stacked(corpus_intervals, cache, ["sps_scg"])
         groups = codes(corpus_intervals)[1]
-        redone, _ = _run_trial(groups, rows, "sps_scg", cfg, 2, K1)
+        redone, _ = _run_trial(groups, rows, "sps_scg", cfg, 2, K1, {})
         assert redone.f == rep.trials[2].f
         assert redone.chosen_k == rep.trials[2].chosen_k
         np.testing.assert_array_equal(redone.confusion, rep.trials[2].confusion)
@@ -267,8 +269,8 @@ class TestRunExperiment:
         for kind, trained in (("sps_scg", ["sps_scg"]), ("late_fused", list(BASE_KINDS))):
             clean_rows = stacked(corpus_intervals, cache, trained)
             dirty_rows = stacked(corpus_intervals, poisoned, trained)
-            _, clean = _run_trial(groups, clean_rows, kind, cfg, 0, K1)
-            _, dirty = _run_trial(groups, dirty_rows, kind, cfg, 0, K1)
+            _, clean = _run_trial(groups, clean_rows, kind, cfg, 0, K1, {})
+            _, dirty = _run_trial(groups, dirty_rows, kind, cfg, 0, K1, {})
             assert list(clean) == list(dirty) == trained
             for k in trained:
                 assert model_to_text(clean[k]) == model_to_text(dirty[k])
@@ -384,11 +386,15 @@ class TestLateFusionHandOff:
             np.testing.assert_array_equal(a.confusion, b.confusion)
         assert (fresh.mean_f, fresh.var_f) == (reused.mean_f, reused.var_f)
 
-    @pytest.mark.parametrize("change", ["seed", "k_grid", "split_unit", "train_frac", "cache"])
+    @pytest.mark.parametrize(
+        "change", ["seed", "k_grid", "split_unit", "train_frac", "cache", "n_trials"]
+    )
     def test_other_inputs_are_not_reused(self, corpus_intervals, feature_cache, monkeypatch, change):
         cache = feature_cache[0]
-        cfg, grid, zcr_cache = self.CFG, K1, cache
-        if change == "cache":  # one sps_zcr value of a trial-0 training interval
+        cfg, grid, zcr_cache, late = self.CFG, K1, cache, self.CFG
+        if change == "n_trials":  # every base run has 2 trials, late fusion 3
+            late = dataclasses.replace(cfg, n_trials=3)
+        elif change == "cache":  # one sps_zcr value of a trial-0 training interval
             key = split_of(corpus_intervals, cfg)[0]
             f = cache[key]["sps_zcr"]
             values = f.values.copy()
@@ -405,8 +411,8 @@ class TestLateFusionHandOff:
             else:
                 self.run(corpus_intervals, cache, kind)
         trained = counted_training(monkeypatch)
-        self.run(corpus_intervals, cache, "late_fused")
-        assert trained == ["sps_zcr"] * self.CFG.n_trials
+        self.run(corpus_intervals, cache, "late_fused", late)
+        assert trained == (list(BASE_KINDS) * 3 if change == "n_trials" else ["sps_zcr"] * 2)
 
     def test_another_seed_on_the_same_split_is_not_reused(
         self, corpus_intervals, feature_cache, monkeypatch
@@ -433,9 +439,9 @@ class TestLateFusionHandOff:
         cache = feature_cache[0]
         for kind in BASE_KINDS:
             self.run(corpus_intervals, cache, kind)
-        assert {k: len(e) for k, e in _HANDOFF.items()} == {k: 2 for k in BASE_KINDS}
+        assert {k: len(models) for k, (_, models) in _HANDOFF.items()} == {k: 2 for k in BASE_KINDS}
         self.run(corpus_intervals, cache, "late_fused")
-        assert _HANDOFF == {k: {} for k in BASE_KINDS}
+        assert _HANDOFF == {}
         trained = counted_training(monkeypatch)
         self.run(corpus_intervals, cache, "late_fused")
         assert trained == list(BASE_KINDS) * 2
@@ -445,8 +451,10 @@ class TestLateFusionHandOff:
         self.run(corpus_intervals, cache, "sps_p")
         later = dataclasses.replace(self.CFG, seed=8)
         self.run(corpus_intervals, cache, "sps_p", later)
-        assert sorted(key[2] for key in _HANDOFF["sps_p"]) == [_trial_seed(8, t) for t in range(2)]
         assert list(_HANDOFF) == ["sps_p"]
+        (_, _, _, _, seed, _, _), models = _HANDOFF["sps_p"]
+        assert seed == 8
+        assert [m.train_meta["seed"] for m in models] == [_trial_seed(8, t) for t in range(2)]
 
 
 class TestReportFormats:

@@ -140,7 +140,7 @@ class TestComputeAttributes:
     @given(S=int_matrices(min_p=2))
     def test_lag0_equals_row_variance(self, S):
         attrs = compute_attributes(S)
-        sigma = sps_scg(S, attrs).values[S.shape[0] : 2 * S.shape[0]]
+        sigma = sps_scg(attrs).values[S.shape[0] : 2 * S.shape[0]]
         np.testing.assert_allclose(attrs.autocorr[:, 0], sigma**2, rtol=1e-9, atol=1e-12)
 
 
@@ -265,28 +265,28 @@ class TestSpsZcr:
 class TestSpsScg:
     def test_sigma_example(self):
         S = np.array([[4, 6, 8], [4, 6, 8]])
-        vec = sps_scg(S, compute_attributes(S))
+        vec = sps_scg(compute_attributes(S))
         assert vec.values[2] == pytest.approx(np.sqrt(8 / 3))
 
     def test_gradient_example(self):
         S = np.array([[10] * 4, [7] * 4, [1] * 4])
-        vec = sps_scg(S, compute_attributes(S))
+        vec = sps_scg(compute_attributes(S))
         np.testing.assert_array_equal(vec.values[:3], [10, 7, 1])
         np.testing.assert_array_equal(vec.values[6:], [-3, -4.5, -6])
 
     def test_constant_matrix(self):
         S = np.full((4, 6), 9)
-        vec = sps_scg(S, compute_attributes(S))
+        vec = sps_scg(compute_attributes(S))
         np.testing.assert_array_equal(vec.values, [9] * 4 + [0] * 8)
 
     def test_single_row_is_error(self):
         S = np.array([[1, 2, 3]])
         with pytest.raises(ConfigError, match="p >= 2"):
-            sps_scg(S, compute_attributes(S))
+            sps_scg(compute_attributes(S))
 
     def test_kind_and_dim(self):
         S = np.random.default_rng(2).integers(0, 331, (5, 10))
-        vec = sps_scg(S, compute_attributes(S))
+        vec = sps_scg(compute_attributes(S))
         assert vec.kind == "sps_scg"
         assert vec.values.shape == (15,)
 
@@ -307,8 +307,8 @@ class TestShiftInvariance:
             sps_periodicity(b).values, sps_periodicity(a).values, rtol=1e-9, atol=1e-9
         )
         if p >= 2:
-            sa = sps_scg(S, a).values
-            sb = sps_scg(S + shift, b).values
+            sa = sps_scg(a).values
+            sb = sps_scg(b).values
             np.testing.assert_allclose(sb[p : 2 * p], sa[p : 2 * p], rtol=1e-9, atol=1e-9)
             np.testing.assert_allclose(sb[2 * p :], sa[2 * p :], rtol=1e-9, atol=1e-9)
 
@@ -327,7 +327,7 @@ class TestOracleAgreement:
         np.testing.assert_array_equal(attrs.autocorr, A)
         np.testing.assert_array_equal(sps_periodicity(attrs).values, oracles.sps_p(A))
         np.testing.assert_array_equal(sps_zcr(attrs).values, oracles.sps_zcr(C))
-        np.testing.assert_array_equal(sps_scg(S, attrs).values, oracles.sps_scg(rows))
+        np.testing.assert_array_equal(sps_scg(attrs).values, oracles.sps_scg(rows))
 
     def test_full_size_interval(self):
         # p = 20 rows over the L = 973 frames of a 1 s interval at 22050 Hz
@@ -337,7 +337,7 @@ class TestOracleAgreement:
         _, _, A = oracles.attributes(rows)
         np.testing.assert_array_equal(attrs.autocorr, A)
         np.testing.assert_array_equal(sps_periodicity(attrs).values, oracles.sps_p(A))
-        np.testing.assert_array_equal(sps_scg(S, attrs).values, oracles.sps_scg(rows))
+        np.testing.assert_array_equal(sps_scg(attrs).values, oracles.sps_scg(rows))
 
 
 class TestEarlyFuse:
