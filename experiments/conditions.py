@@ -1,4 +1,5 @@
-"""Seeded synthetic corpus for desk-scale experiments and tests.
+"""Seeded synthetic speech/music conditions, and a WAV writer to put them
+on disk, for desk-scale experiments and tests.
 
 Music-like intervals: 3-5 sustained harmonic tones with abrupt onsets and
 slow exponential decay, so their spectral peaks sit still across frames.
@@ -6,11 +7,22 @@ Speech-like intervals: short voiced segments whose pitch drifts by up to
 +/-20 percent, separated by 50-100 ms silences, so the peak trajectories
 glide and break.  Both carry a faint noise floor to keep silent frames from
 being exactly zero.
+
+write_wav writes mono PCM16 or float32 WAV files, the two formats
+spsgmm.audio_io.decode_wav reads.
 """
+
+import struct
 
 import numpy as np
 
-from .audio_io import AudioInterval
+from spsgmm.audio_io import AudioInterval
+from spsgmm.errors import InputError
+
+# write_wav's format tags, written out here rather than imported from the
+# reader: a wrong tag shared by writer and reader would round-trip unnoticed
+_PCM = 0x0001
+_IEEE_FLOAT = 0x0003
 
 
 def music_interval(rng, sample_rate=22050, duration=1.0):
@@ -93,3 +105,36 @@ def make_corpus(n_per_class=200, seed=0, sample_rate=22050):
             )
         )
     return intervals
+
+
+def write_wav(path, samples, sample_rate, fmt="pcm16"):
+    """Write a mono WAV file; fmt is 'pcm16' or 'float32'."""
+    x = np.asarray(samples, np.float64)
+    if fmt == "pcm16":
+        tag, bits = _PCM, 16
+        payload = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2").tobytes()
+    elif fmt == "float32":
+        tag, bits = _IEEE_FLOAT, 32
+        payload = x.astype("<f4").tobytes()
+    else:
+        raise InputError(f"unknown wav format {fmt!r}")
+    block = bits // 8
+    hdr = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF",
+        36 + len(payload),
+        b"WAVE",
+        b"fmt ",
+        16,
+        tag,
+        1,
+        sample_rate,
+        sample_rate * block,
+        block,
+        bits,
+        b"data",
+        len(payload),
+    )
+    with open(path, "wb") as f:
+        f.write(hdr)
+        f.write(payload)

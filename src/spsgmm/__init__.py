@@ -17,7 +17,6 @@ from .audio_io import (
     load_intervals,
     scan_corpus,
     segment_intervals,
-    write_wav,
 )
 from .classifier import (
     ClassScore,
@@ -60,6 +59,5 @@ from .sps_features import (
     sps_scg,
     sps_zcr,
 )
-from .synth import make_corpus
 
 __version__ = "0.1.0"

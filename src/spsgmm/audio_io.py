@@ -38,7 +38,10 @@ class AudioInterval:
 
 
 def _read_exact(f, n, what):
-    data = f.read(n)
+    # read no more than the file holds: f.read(n) would first allocate
+    # whatever size a header claims
+    left = max(os.fstat(f.fileno()).st_size - f.tell(), 0)
+    data = f.read(min(n, left))
     if len(data) != n:
         raise DecodeError(f"{what}: truncated (wanted {n} bytes, got {len(data)})")
     return data
@@ -111,39 +114,6 @@ def decode_wav(path):
     if samples.size == 0:
         raise DecodeError("data chunk: no samples")
     return AudioSignal(samples=samples, sample_rate=int(rate))
-
-
-def write_wav(path, samples, sample_rate, fmt="pcm16"):
-    """Write a mono WAV file; fmt is 'pcm16' or 'float32'."""
-    x = np.asarray(samples, np.float64)
-    if fmt == "pcm16":
-        tag, bits = _PCM, 16
-        payload = np.clip(np.rint(x * 32768.0), -32768, 32767).astype("<i2").tobytes()
-    elif fmt == "float32":
-        tag, bits = _IEEE_FLOAT, 32
-        payload = x.astype("<f4").tobytes()
-    else:
-        raise InputError(f"unknown wav format {fmt!r}")
-    block = bits // 8
-    hdr = struct.pack(
-        "<4sI4s4sIHHIIHH4sI",
-        b"RIFF",
-        36 + len(payload),
-        b"WAVE",
-        b"fmt ",
-        16,
-        tag,
-        1,
-        sample_rate,
-        sample_rate * block,
-        block,
-        bits,
-        b"data",
-        len(payload),
-    )
-    with open(path, "wb") as f:
-        f.write(hdr)
-        f.write(payload)
 
 
 def segment_intervals(sig, interval_s, source_id="", label=None):

@@ -569,8 +569,10 @@ def model_from_text(text):
     take("meta", marker=True)
     meta = {"feature_kind": take("feature_kind")}
     meta["dim"], meta["seed"] = scalar("dim", int), scalar("seed", int)
+    check_seed("model file seed", meta["seed"])
     grid = take("k_grid")
     meta["k_grid"] = _numbers(int, grid.split(",") if grid else [], f"k_grid {grid}")
+    check_counts("model file k_grid", meta["k_grid"])
     meta["chosen_k"] = scalar("chosen_k", int)
     take("standardizer", marker=True)
     mean, std = vector("mean"), vector("std")
@@ -595,6 +597,11 @@ def model_from_text(text):
         K, total = weights.size, math.fsum(weights)
         if abs(total - 1.0) > 4 * K * np.finfo(np.float64).eps:
             raise InputError(f"model file {name} weights: sum {total!r} is not 1")
+        # both classes are fitted at the chosen K
+        if K != meta["chosen_k"]:
+            raise InputError(
+                f"model file {name} weights: K = {K}, but chosen_k is {meta['chosen_k']}"
+            )
         mixes[label] = Mixture(
             weights=weights,
             means=_checked(f"{name} means", matrix("means", K, d)),

@@ -132,6 +132,8 @@ def run_experiment(
     score, then aggregate mean and population variance of the macro-F."""
     if feature_kind not in EVAL_KINDS:
         raise InputError(f"feature_kind must be one of {EVAL_KINDS}")
+    if not intervals:
+        raise InputError("no intervals given to run_experiment")
     rates = {iv.sample_rate for iv in intervals}
     if len(rates) != 1:
         raise InputError(

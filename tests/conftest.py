@@ -91,8 +91,7 @@ def make_wav(tmp_path):
 
 
 def _write_corpus(root, n_files, seconds, rng):
-    from spsgmm.audio_io import write_wav
-    from spsgmm.synth import music_interval, speech_interval
+    from experiments.conditions import music_interval, speech_interval, write_wav
 
     speech = root / "speech"
     music = root / "music"

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import oracles
+from experiments.conditions import make_corpus
 from spsgmm.audio_io import AudioInterval, scan_corpus
 from spsgmm.evaluate import TrialConfig, f_score, run_experiment
 from spsgmm.pipeline import BASE_KINDS, extract_corpus, extract_features
@@ -35,7 +36,6 @@ from spsgmm.sps_features import (
     sps_scg,
     sps_zcr,
 )
-from spsgmm.synth import make_corpus
 
 SR = 22050
 

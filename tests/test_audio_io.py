@@ -1,8 +1,12 @@
 """WAV decoding, segmentation, and corpus scanning."""
 
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from experiments.conditions import speech_interval, write_wav
 from spsgmm.audio_io import (
     AudioInterval,
     AudioSignal,
@@ -10,13 +14,11 @@ from spsgmm.audio_io import (
     load_intervals,
     scan_corpus,
     segment_intervals,
-    write_wav,
 )
 from spsgmm.errors import DecodeError, InputError
 from spsgmm.pipeline import extract_corpus, extract_features
 from spsgmm.spectral import frame_interval, magnitude_spectra, make_frame_config
 from spsgmm.sps_core import build_peak_matrix
-from spsgmm.synth import speech_interval
 
 from conftest import SR, wav_bytes
 
@@ -98,6 +100,24 @@ class TestDecodeWav:
         path.write_bytes(raw[:-50])
         with pytest.raises(DecodeError, match="truncated"):
             decode_wav(path)
+
+    def test_claimed_chunk_size_is_not_allocated(self, tmp_path):
+        """A data chunk claiming 0xFFFFFFF0 bytes of a 52-byte file is refused
+        without first reserving the 4 GB it claims."""
+        raw = wav_bytes(np.arange(4, dtype=np.int16))
+        idx = raw.index(b"data") + 4
+        path = tmp_path / "huge.wav"
+        path.write_bytes(raw[:idx] + struct.pack("<I", 0xFFFFFFF0) + raw[idx + 4 :])
+        assert path.stat().st_size == 52
+        tracemalloc.start()
+        try:
+            with pytest.raises(DecodeError) as exc:
+                decode_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "data chunk: truncated (wanted 4294967280 bytes, got 8)"
+        assert peak < 1e6
 
     def test_not_riff(self, tmp_path):
         path = tmp_path / "bad.wav"

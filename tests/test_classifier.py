@@ -812,6 +812,17 @@ class TestModelFormat:
             lines.insert(lines.index("class speech"), "scale 1 1")
         elif how == "trailing text":
             lines += ["meta", "feature_kind sps_zcr"]
+        elif how == "chosen_k not the mixtures' K":
+            lines[lines.index("chosen_k 2")] = "chosen_k 7"
+        elif how == "negative seed":
+            lines[lines.index("seed 4")] = "seed -5"
+        elif how == "K grid below 1":
+            lines[lines.index("k_grid 2")] = "k_grid -3,0"
+        elif how == "one-component speech class":  # its first component, reweighted to 1
+            w = lines.index("means") - 1
+            lines[w] = "weights 1"
+            for block in ("means", "vars"):
+                del lines[lines.index(block) + 2]
         return "\n".join(lines) + "\n"
 
     @pytest.mark.parametrize(
@@ -827,6 +838,10 @@ class TestModelFormat:
             ("misspelt key", "unexpected line in model file: 'chosen-k 2'"),
             ("extra standardizer field", "unexpected line in model file: 'scale 1 1'"),
             ("trailing text", "unexpected line in model file: 'meta'"),
+            ("chosen_k not the mixtures' K", "class speech weights: K = 2, but chosen_k is 7"),
+            ("negative seed", "model file seed must be >= 0, got -5"),
+            ("K grid below 1", "model file k_grid must be >= 1, got -3, 0"),
+            ("one-component speech class", "class speech weights: K = 1, but chosen_k is 2"),
         ],
     )
     def test_corrupted_model_files(self, how, match):

@@ -13,9 +13,10 @@ import warnings
 import numpy as np
 import pytest
 
+from experiments.conditions import write_wav
 from spsgmm import cli as spsgmm_cli
 from spsgmm._util import csv_text
-from spsgmm.audio_io import decode_wav, segment_intervals, write_wav
+from spsgmm.audio_io import decode_wav, segment_intervals
 from spsgmm.classifier import load_model, score
 from spsgmm.pipeline import extract_features
 

@@ -7,8 +7,9 @@ refused by name once the rate is known."""
 import numpy as np
 import pytest
 
+from experiments.conditions import write_wav
 from spsgmm import cli as spsgmm_cli
-from spsgmm.audio_io import AudioInterval, write_wav
+from spsgmm.audio_io import AudioInterval
 from spsgmm.errors import ConfigError
 from spsgmm.pipeline import extract_features
 

@@ -331,6 +331,10 @@ class TestRunExperiment:
         with pytest.raises(InputError, match="feature_kind"):
             run_experiment(corpus_intervals, "pitch")
 
+    def test_no_intervals_rejected(self):
+        with pytest.raises(InputError, match="^no intervals given to run_experiment$"):
+            run_experiment([], "sps_p")
+
     def test_mixed_sample_rates_rejected(self, corpus_intervals, feature_cache):
         cache, _ = feature_cache
         odd = dataclasses.replace(corpus_intervals[0], sample_rate=16000)

@@ -1,9 +1,11 @@
 """The package's modules form layers: no chain of relative imports, counting
 those deferred into function bodies, leads from a module back to itself, and
-only `pipeline` imports the extraction stages to chain them."""
+only `pipeline` imports the extraction stages to chain them.  Outside itself
+the package imports only the standard library and numpy."""
 
 import ast
 import pathlib
+import sys
 
 import spsgmm
 
@@ -23,6 +25,15 @@ def relative_imports(path):
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and node.level > 0:
             yield node
+
+
+def absolute_imports(path):
+    """The top-level name of every absolute import anywhere in a module's source."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
 
 
 def import_graph():
@@ -95,3 +106,16 @@ def test_only_pipeline_chains_the_stages():
     }
     assert importers <= {"pipeline", "__init__"}, sorted(importers)
     assert "pipeline" in importers
+
+
+def test_only_stdlib_and_numpy_imported():
+    """So the package cannot come to need experiments/, tests/ or an
+    undeclared dependency."""
+    names = {(path.name, name) for path in PKG.glob("*.py") for name in absolute_imports(path)}
+    assert ("classifier.py", "numpy") in names and ("cli.py", "argparse") in names
+    outside = sorted(
+        (module, name)
+        for module, name in names
+        if name != "numpy" and name not in sys.stdlib_module_names
+    )
+    assert not outside, outside
