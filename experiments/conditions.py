@@ -87,7 +87,7 @@ def make_corpus(n_per_class=200, seed=0, sample_rate=22050):
     for i in range(n_per_class):
         intervals.append(
             AudioInterval(
-                samples=speech_interval(rng, sample_rate),
+                data=speech_interval(rng, sample_rate),
                 sample_rate=sample_rate,
                 source_id=f"synth-speech-{i:03d}",
                 index=0,
@@ -97,7 +97,7 @@ def make_corpus(n_per_class=200, seed=0, sample_rate=22050):
     for i in range(n_per_class):
         intervals.append(
             AudioInterval(
-                samples=music_interval(rng, sample_rate),
+                data=music_interval(rng, sample_rate),
                 sample_rate=sample_rate,
                 source_id=f"synth-music-{i:03d}",
                 index=0,

@@ -16,51 +16,91 @@ from .errors import DecodeError, InputError
 _PCM = 0x0001
 _IEEE_FLOAT = 0x0003
 _EXTENSIBLE = 0xFFFE
+_DTYPES = {(_PCM, 16): np.dtype("<i2"), (_IEEE_FLOAT, 32): np.dtype("<f4")}
+_SCAN = 1 << 16  # float32 values checked for finiteness at a time
+
+
+def _widen(data):
+    """Mono floating-point samples of decoded data, the one conversion rule:
+    16-bit values k become float32 k / 32768, which is exact; float32 values
+    are kept as stored; two channels, an (n, 2) array, are averaged in
+    float64 and narrowed to float32 when every mean of this array fits it,
+    so a slice can read float32 where the whole reads float64, with the same
+    values.  A float array of one channel, such as samples built in memory,
+    is returned as it is."""
+    x = np.divide(data, 32768, dtype=np.float32) if data.dtype == np.int16 else data
+    if x.ndim == 2:
+        wide = x.mean(axis=1, dtype=np.float64)
+        x = wide.astype(np.float32)
+        if not np.array_equal(x, wide):
+            x = wide
+    return x
 
 
 @dataclass(frozen=True, eq=False)
 class AudioSignal:
-    """Mono floating-point samples at a known sample rate."""
+    """Audio at a known sample rate.  data holds what decode_wav mapped (16-bit
+    or float32 values, one column per channel), or mono floats built in
+    memory; samples gives them as mono floats in [-1, 1], converted on each
+    access by _widen."""
 
-    samples: np.ndarray  # float32 where exact, else float64 (see decode_wav); range [-1, 1]
+    data: np.ndarray
     sample_rate: int
+
+    @property
+    def samples(self):
+        return _widen(self.data)
 
 
 @dataclass(frozen=True, eq=False)
 class AudioInterval:
-    """One fixed-duration window of a signal; the unit of classification."""
+    """One fixed-duration window of a signal; the unit of classification.
+    data is a slice of the signal's data, and samples its mono floats, as
+    for AudioSignal."""
 
-    samples: np.ndarray
+    data: np.ndarray
     sample_rate: int
     source_id: str
     index: int
     label: str | None = None  # "speech" | "music" | None
 
+    @property
+    def samples(self):
+        return _widen(self.data)
+
+
+def _check_left(f, n, what):
+    # compare with what the file holds before reading or mapping: f.read(n)
+    # would first allocate whatever size a header claims
+    left = max(os.fstat(f.fileno()).st_size - f.tell(), 0)
+    if left < n:
+        raise DecodeError(f"{what}: truncated (wanted {n} bytes, got {left})")
+
 
 def _read_exact(f, n, what):
-    # read no more than the file holds: f.read(n) would first allocate
-    # whatever size a header claims
-    left = max(os.fstat(f.fileno()).st_size - f.tell(), 0)
-    data = f.read(min(n, left))
-    if len(data) != n:
-        raise DecodeError(f"{what}: truncated (wanted {n} bytes, got {len(data)})")
-    return data
+    _check_left(f, n, what)
+    return f.read(n)
 
 
 def decode_wav(path):
-    """Decode a RIFF/WAVE file (PCM16 or float32, mono or stereo) to a mono
-    AudioSignal.  16-bit samples are scaled by 1/32768; stereo is mixed
-    down by averaging channels in float64.  The samples are kept as float32
-    when that holds every value exactly (always for PCM16, mono or stereo,
-    and for mono float32), and as float64 otherwise; frame_interval widens
-    them to float64 one interval at a time, so the features are the same
-    bits either way."""
+    """Decode a RIFF/WAVE file (PCM16 or float32, mono or stereo) to an
+    AudioSignal whose data is a read-only np.memmap of the data chunk: dtype
+    <i2 or <f4, shape (n,) for mono and (n, 2) for stereo.  A trailing
+    partial sample or stereo frame is dropped.  float32 data is refused if
+    any sample is not finite.
+
+    Nothing is converted here: samples widens on access (see _widen), and
+    frame_interval widens one interval at a time to float64, so decoded
+    audio costs the file's own pages.  The map reads the file for as long
+    as the signal or any of its intervals lives: a file truncated meanwhile
+    can end the process with SIGBUS, and a file rewritten in place changes
+    the samples read after it."""
     with open(path, "rb") as f:
         header = _read_exact(f, 12, "RIFF header")
         if header[:4] != b"RIFF" or header[8:12] != b"WAVE":
             raise DecodeError("RIFF header: not a RIFF/WAVE file")
         fmt = None
-        data = None
+        data_at = None
         while True:
             chunk_hdr = f.read(8)
             if len(chunk_hdr) == 0:
@@ -78,42 +118,39 @@ def decode_wav(path):
                         raise DecodeError("fmt chunk: extensible header too short")
                     tag = struct.unpack("<H", body[24:26])[0]
                 fmt = (tag, channels, rate, bits)
-            elif cid == b"data":
-                data = _read_exact(f, size, "data chunk")
             else:
+                if cid == b"data":
+                    _check_left(f, size, "data chunk")
+                    data_at = (f.tell(), size)
                 f.seek(size, os.SEEK_CUR)
             if size % 2:  # chunks are word aligned
                 f.seek(1, os.SEEK_CUR)
         if fmt is None:
             raise DecodeError("fmt chunk: missing")
-        if data is None:
+        if data_at is None:
             raise DecodeError("data chunk: missing")
 
-    tag, channels, rate, bits = fmt
-    if channels not in (1, 2):
-        raise DecodeError(f"fmt chunk: unsupported channel count {channels}")
-    if rate <= 0:
-        raise DecodeError(f"fmt chunk: invalid sample rate {rate}")
-    if tag == _PCM and bits == 16:
-        raw = np.frombuffer(data[: len(data) // 2 * 2], dtype="<i2")
-        samples = np.divide(raw, 32768, dtype=np.float32)  # k / 2**15 is exact
-    elif tag == _IEEE_FLOAT and bits == 32:
-        raw = np.frombuffer(data[: len(data) // 4 * 4], dtype="<f4")
-        if not np.isfinite(raw).all():
-            raise DecodeError("data chunk: non-finite sample")
-        samples = raw.astype(np.float32)
-    else:
-        raise DecodeError(
-            f"fmt chunk: unsupported format tag 0x{tag:04X} with {bits} bits per sample"
-        )
-    if channels == 2:  # averaged in float64, kept as float32 where that is exact
-        wide = samples[: len(samples) // 2 * 2].reshape(-1, 2).mean(axis=1, dtype=np.float64)
-        samples = wide.astype(np.float32)
-        if not np.array_equal(samples, wide):
-            samples = wide
-    if samples.size == 0:
-        raise DecodeError("data chunk: no samples")
-    return AudioSignal(samples=samples, sample_rate=int(rate))
+        tag, channels, rate, bits = fmt
+        if channels not in (1, 2):
+            raise DecodeError(f"fmt chunk: unsupported channel count {channels}")
+        if rate <= 0:
+            raise DecodeError(f"fmt chunk: invalid sample rate {rate}")
+        dtype = _DTYPES.get((tag, bits))
+        if dtype is None:
+            raise DecodeError(
+                f"fmt chunk: unsupported format tag 0x{tag:04X} with {bits} bits per sample"
+            )
+        offset, size = data_at
+        n = size // (dtype.itemsize * channels)
+        if n == 0:  # numpy maps no empty array
+            raise DecodeError("data chunk: no samples")
+        data = np.memmap(f, dtype, mode="r", offset=offset, shape=(n,) if channels == 1 else (n, 2))
+    if dtype.kind == "f":
+        flat = data.reshape(-1)
+        for i in range(0, flat.size, _SCAN):
+            if not np.isfinite(flat[i : i + _SCAN]).all():
+                raise DecodeError("data chunk: non-finite sample")
+    return AudioSignal(data=data, sample_rate=int(rate))
 
 
 def segment_intervals(sig, interval_s, source_id="", label=None):
@@ -128,15 +165,15 @@ def segment_intervals(sig, interval_s, source_id="", label=None):
             f"interval of {interval_s * 1000:g} ms is under one sample at "
             f"{sig.sample_rate} Hz"
         )
-    n = sig.samples.size // ilen
+    n = len(sig.data) // ilen
     if n == 0:
         raise InputError(
-            f"signal of {sig.samples.size} samples is shorter than one "
+            f"signal of {len(sig.data)} samples is shorter than one "
             f"{ilen}-sample interval"
         )
     return [
         AudioInterval(
-            samples=sig.samples[i * ilen : (i + 1) * ilen],
+            data=sig.data[i * ilen : (i + 1) * ilen],
             sample_rate=sig.sample_rate,
             source_id=source_id,
             index=i,

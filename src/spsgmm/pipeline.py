@@ -19,9 +19,9 @@ def analyze(interval, *, frame_ms=30.0, hop_ms=1.0, window="rect", p=20):
     """(magnitude spectra, peak matrix, attributes) of one interval, which
     must hold two frames, since peaks are followed from frame to frame."""
     cfg = make_frame_config(interval.sample_rate, frame_ms, hop_ms, window)
-    if interval.samples.size < cfg.frame_len + cfg.hop:
+    if len(interval.data) < cfg.frame_len + cfg.hop:
         raise ConfigError(
-            f"{interval.source_id} interval {interval.index}: {interval.samples.size} samples "
+            f"{interval.source_id} interval {interval.index}: {len(interval.data)} samples "
             f"at {interval.sample_rate} Hz, but two {cfg.frame_len}-sample frames {cfg.hop} "
             f"apart need {cfg.frame_len + cfg.hop}; lengthen the interval or shorten the "
             "frame or the hop"

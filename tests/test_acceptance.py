@@ -42,7 +42,7 @@ SR = 22050
 
 def _interval(samples, label=None, source="acc"):
     return AudioInterval(
-        samples=np.asarray(samples, np.float64),
+        data=np.asarray(samples, np.float64),
         sample_rate=SR,
         source_id=source,
         index=0,

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from experiments.conditions import speech_interval, write_wav
+from experiments.conditions import music_interval, speech_interval, write_wav
 from spsgmm.audio_io import (
     AudioInterval,
     AudioSignal,
@@ -119,6 +119,32 @@ class TestDecodeWav:
         assert str(exc.value) == "data chunk: truncated (wanted 4294967280 bytes, got 8)"
         assert peak < 1e6
 
+    # A data chunk that ends inside a sample or a stereo frame keeps its whole
+    # samples or frames and drops the rest.
+    def test_odd_byte_of_pcm16_dropped(self, tmp_path):
+        path = tmp_path / "a.wav"
+        path.write_bytes(_with_tail(np.array([16384, -16384], np.int16), b"\x7f"))
+        np.testing.assert_array_equal(decode_wav(path).samples, [0.5, -0.5])
+
+    @pytest.mark.parametrize("fmt, tail", [
+        ("pcm16", b"\x00\x40"), ("pcm16", b"\x00"), ("pcm16", b"\x00\x40\x00"),
+        ("float32", struct.pack("<f", 0.5)), ("float32", b"\x00\x00\x00\x3f\x00"),
+    ])
+    def test_half_frame_of_stereo_dropped(self, tmp_path, fmt, tail):
+        vals = np.array([[16384, 0], [-16384, -16384]], np.int16)
+        if fmt == "float32":
+            vals = vals / 32768
+        path = tmp_path / "a.wav"
+        path.write_bytes(_with_tail(vals, tail, fmt=fmt))
+        np.testing.assert_array_equal(decode_wav(path).samples, [0.25, -0.5])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_partial_float32_sample_dropped(self, tmp_path, n):
+        path = tmp_path / "a.wav"
+        # four 0xff bytes would be a NaN, which decoding refuses
+        path.write_bytes(_with_tail(np.array([0.25, -0.5], np.float32), b"\xff" * n, fmt="float32"))
+        np.testing.assert_array_equal(decode_wav(path).samples, [0.25, -0.5])
+
     def test_not_riff(self, tmp_path):
         path = tmp_path / "bad.wav"
         path.write_bytes(b"JUNKJUNKJUNKJUNK")
@@ -145,6 +171,16 @@ class TestDecodeWav:
         np.testing.assert_array_equal(
             decode_wav(pf).samples, x.astype(np.float32).astype(np.float64)
         )
+
+
+def _with_tail(values, tail, **kw):
+    """wav_bytes of the values with the bytes tail appended to the data chunk,
+    its last chunk, and the pad byte that an odd chunk size needs."""
+    raw = wav_bytes(values, **kw)
+    at = raw.index(b"data") + 4
+    size = struct.unpack("<I", raw[at : at + 4])[0] + len(tail)
+    body = raw[:at] + struct.pack("<I", size) + raw[at + 4 :] + tail + b"\x00" * (size % 2)
+    return body[:4] + struct.pack("<I", len(body) - 8) + body[8:]
 
 
 def float64_decode(raw, fmt):
@@ -199,20 +235,32 @@ class TestDecodedDtype:
     def test_pcm16_kept_at_four_bytes_a_sample(self, make_wav):
         # widening at decode would double the memory of every decoded corpus
         sig = decode_wav(make_wav("a.wav", _raw("pcm16", 1, seed=3)))
-        assert sig.samples.nbytes == 4 * sig.samples.size
-        intervals = segment_intervals(AudioSignal(sig.samples, 1000), 1.0)
+        samples = sig.samples
+        assert samples.nbytes == 4 * samples.size
+        intervals = segment_intervals(AudioSignal(samples, 1000), 1.0)
         assert len(intervals) == 4
-        assert all(np.shares_memory(iv.samples, sig.samples) for iv in intervals)
+        assert all(np.shares_memory(iv.samples, samples) for iv in intervals)
 
-    @pytest.mark.parametrize("fmt", ["pcm16", "float32"])
-    @pytest.mark.parametrize("rate", [16000, 22050])
-    def test_features_same_bits_as_float64_copy(self, tmp_path, fmt, rate):
-        path = tmp_path / "a.wav"
-        write_wav(path, speech_interval(np.random.default_rng(rate), rate), rate, fmt=fmt)
-        (narrow,) = segment_intervals(decode_wav(path), 1.0, "a.wav", "speech")
-        assert narrow.samples.dtype == np.float32
+    @pytest.mark.parametrize("rate, fmt, channels", [
+        pytest.param(rate, fmt, channels, id=f"{rate}-{fmt}" + ("-stereo" if channels == 2 else ""))
+        for rate in (16000, 22050, 44100)
+        for fmt in ("pcm16", "float32")
+        for channels in (1, 2)
+    ])
+    def test_features_same_bits_as_float64_copy(self, make_wav, rate, fmt, channels):
+        rng = np.random.default_rng(rate)
+        x = speech_interval(rng, rate)
+        if channels == 2:
+            x = np.stack([x, music_interval(rng, rate)], axis=1)
+        raw = (np.clip(np.rint(x * 32768), -32768, 32767).astype(np.int16) if fmt == "pcm16"
+               else x.astype(np.float32))
+        sig = decode_wav(make_wav("a.wav", raw, sample_rate=rate, fmt=fmt))
+        (narrow,) = segment_intervals(sig, 1.0, "a.wav", "speech")
+        assert np.shares_memory(narrow.data, sig.data)
+        if (fmt, channels) != ("float32", 2):  # that mean needs float64 (TestDecodedDtype)
+            assert narrow.samples.dtype == np.float32
         wide = AudioInterval(
-            samples=narrow.samples.astype(np.float64),
+            data=float64_decode(raw, fmt),
             sample_rate=rate,
             source_id="a.wav",
             index=0,
@@ -235,43 +283,96 @@ class TestDecodedDtype:
             assert got[kind].values.tobytes() == want[kind].values.tobytes()
 
 
+class TestMappedData:
+    """Decoded audio is a read-only map of the file's data chunk, and each
+    interval a slice of it; samples are widened on access."""
+
+    @pytest.mark.parametrize("fmt, channels", [("pcm16", 1), ("pcm16", 2), ("float32", 1), ("float32", 2)])
+    def test_intervals_are_slices_of_the_map(self, make_wav, fmt, channels):
+        raw = _raw(fmt, channels, seed=4)
+        sig = decode_wav(make_wav("a.wav", raw, sample_rate=1000, fmt=fmt))
+        assert isinstance(sig.data, np.memmap)
+        assert not sig.data.flags.writeable
+        assert sig.data.dtype == ("<i2" if fmt == "pcm16" else "<f4")
+        assert sig.data.shape == raw.shape
+        intervals = segment_intervals(sig, 1.0)
+        assert len(intervals) == 4
+        for iv in intervals:
+            assert np.shares_memory(iv.data, sig.data)
+            assert np.array_equal(iv.samples.astype(np.float64),
+                                  float64_decode(raw, fmt)[iv.index * 1000 : (iv.index + 1) * 1000])
+
+    def test_in_memory_floats_pass_through(self):
+        x = np.linspace(-1, 1, 8)
+        assert AudioSignal(x, 8).samples is x
+        assert AudioInterval(x, 8, "x", 0).samples is x
+
+    def test_load_intervals_holds_no_copy(self, tmp_path):
+        """60 s of 44.1 kHz PCM16 is 5.3 MB of file; a float32 copy of it
+        would be 10.6 MB on the heap."""
+        path = tmp_path / "long.wav"
+        write_wav(path, np.random.default_rng(0).uniform(-0.5, 0.5, 60 * 44100), 44100)
+        tracemalloc.start()
+        try:
+            intervals, skipped = load_intervals(path, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(intervals) == 60 and skipped == []
+        assert peak < 1e6
+
+    def test_float32_scan_holds_no_copy(self, tmp_path):
+        """decode_wav checks every float32 sample for finiteness, in pieces of
+        bounded size: 60 s of 44.1 kHz float32 is 10.6 MB of file."""
+        path = tmp_path / "long.wav"
+        write_wav(path, np.random.default_rng(0).uniform(-0.5, 0.5, 60 * 44100), 44100, fmt="float32")
+        tracemalloc.start()
+        try:
+            sig = decode_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert len(sig.data) == 60 * 44100
+
+
 class TestSegmentIntervals:
     def test_exact_division(self):
-        sig = AudioSignal(samples=np.arange(66150, dtype=float), sample_rate=22050)
+        sig = AudioSignal(data=np.arange(66150, dtype=float), sample_rate=22050)
         ivs = segment_intervals(sig, 1.0, source_id="x", label="speech")
         assert [iv.index for iv in ivs] == [0, 1, 2]
         assert all(iv.samples.size == 22050 for iv in ivs)
         assert all(iv.label == "speech" and iv.source_id == "x" for iv in ivs)
 
     def test_trailing_remainder_dropped(self):
-        sig = AudioSignal(samples=np.zeros(60000), sample_rate=22050)
+        sig = AudioSignal(data=np.zeros(60000), sample_rate=22050)
         assert len(segment_intervals(sig, 1.0)) == 2
 
     def test_too_short_is_error(self):
-        sig = AudioSignal(samples=np.zeros(4000), sample_rate=8000)
+        sig = AudioSignal(data=np.zeros(4000), sample_rate=8000)
         with pytest.raises(InputError, match="shorter than one"):
             segment_intervals(sig, 1.0)
 
     def test_interval_under_one_sample_is_error(self):
-        sig = AudioSignal(samples=np.zeros(22050), sample_rate=22050)
+        sig = AudioSignal(data=np.zeros(22050), sample_rate=22050)
         with pytest.raises(InputError, match=r"0\.01 ms is under one sample at 22050 Hz"):
             segment_intervals(sig, 0.01 / 1000)  # round(0.2205) -> 0 samples
 
     @pytest.mark.parametrize("interval_s", [float("nan"), float("inf"), -float("inf"), 0.0])
     def test_non_finite_or_nonpositive_interval_is_named(self, interval_s):
-        sig = AudioSignal(samples=np.zeros(22050), sample_rate=22050)
+        sig = AudioSignal(data=np.zeros(22050), sample_rate=22050)
         with pytest.raises(InputError, match=f"finite and positive, got {interval_s}"):
             segment_intervals(sig, interval_s)
 
     def test_concatenation_reproduces_prefix(self):
         rng = np.random.default_rng(4)
-        sig = AudioSignal(samples=rng.standard_normal(50000), sample_rate=22050)
+        sig = AudioSignal(data=rng.standard_normal(50000), sample_rate=22050)
         ivs = segment_intervals(sig, 1.0)
         joined = np.concatenate([iv.samples for iv in ivs])
         np.testing.assert_array_equal(joined, sig.samples[: joined.size])
 
     def test_deterministic(self):
-        sig = AudioSignal(samples=np.arange(50000, dtype=float), sample_rate=22050)
+        sig = AudioSignal(data=np.arange(50000, dtype=float), sample_rate=22050)
         a = segment_intervals(sig, 1.0)
         b = segment_intervals(sig, 1.0)
         assert len(a) == len(b)
@@ -279,7 +380,7 @@ class TestSegmentIntervals:
             np.testing.assert_array_equal(x.samples, y.samples)
 
     def test_fractional_interval_length_rounds(self):
-        sig = AudioSignal(samples=np.zeros(1000), sample_rate=999)
+        sig = AudioSignal(data=np.zeros(1000), sample_rate=999)
         ivs = segment_intervals(sig, 0.5)  # round(499.5) -> 500 samples
         assert ivs[0].samples.size == 500
 

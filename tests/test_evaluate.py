@@ -41,7 +41,7 @@ def stacked(intervals, cache, kinds):
 
 def iv(src, idx, label, sr=22050):
     return AudioInterval(
-        samples=np.zeros(4), sample_rate=sr, source_id=src, index=idx, label=label
+        data=np.zeros(4), sample_rate=sr, source_id=src, index=idx, label=label
     )
 
 

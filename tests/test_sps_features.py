@@ -378,7 +378,7 @@ class TestCsvExports:
     @staticmethod
     def _intervals(*ids):
         return [
-            AudioInterval(samples=np.zeros(4), sample_rate=4, source_id=s, index=i)
+            AudioInterval(data=np.zeros(4), sample_rate=4, source_id=s, index=i)
             for s, i in ids
         ]
 
