@@ -28,7 +28,7 @@ def _widen(data):
     so a slice can read float32 where the whole reads float64, with the same
     values.  A float array of one channel, such as samples built in memory,
     is returned as it is."""
-    x = np.divide(data, 32768, dtype=np.float32) if data.dtype == np.int16 else data
+    x = np.divide(data, 32768, dtype=np.float32) if data.dtype.kind == "i" else data
     if x.ndim == 2:
         wide = x.mean(axis=1, dtype=np.float64)
         x = wide.astype(np.float32)
@@ -39,7 +39,7 @@ def _widen(data):
 
 @dataclass(frozen=True, eq=False)
 class AudioSignal:
-    """Audio at a known sample rate.  data holds what decode_wav mapped (16-bit
+    """Audio at a known sample rate.  data holds what decode_wav read (16-bit
     or float32 values, one column per channel), or mono floats built in
     memory; samples gives them as mono floats in [-1, 1], converted on each
     access by _widen."""
@@ -70,8 +70,8 @@ class AudioInterval:
 
 
 def _check_left(f, n, what):
-    # compare with what the file holds before reading or mapping: f.read(n)
-    # would first allocate whatever size a header claims
+    # compare with what the file holds before reading: f.read(n) would first
+    # allocate whatever size a header claims
     left = max(os.fstat(f.fileno()).st_size - f.tell(), 0)
     if left < n:
         raise DecodeError(f"{what}: truncated (wanted {n} bytes, got {left})")
@@ -84,17 +84,14 @@ def _read_exact(f, n, what):
 
 def decode_wav(path):
     """Decode a RIFF/WAVE file (PCM16 or float32, mono or stereo) to an
-    AudioSignal whose data is a read-only np.memmap of the data chunk: dtype
-    <i2 or <f4, shape (n,) for mono and (n, 2) for stereo.  A trailing
+    AudioSignal whose data is the data chunk's values as stored, read-only:
+    dtype <i2 or <f4, shape (n,) for mono and (n, 2) for stereo.  A trailing
     partial sample or stereo frame is dropped.  float32 data is refused if
     any sample is not finite.
 
     Nothing is converted here: samples widens on access (see _widen), and
     frame_interval widens one interval at a time to float64, so decoded
-    audio costs the file's own pages.  The map reads the file for as long
-    as the signal or any of its intervals lives: a file truncated meanwhile
-    can end the process with SIGBUS, and a file rewritten in place changes
-    the samples read after it."""
+    audio costs the file's own bytes.  The file is read once and closed."""
     with open(path, "rb") as f:
         header = _read_exact(f, 12, "RIFF header")
         if header[:4] != b"RIFF" or header[8:12] != b"WAVE":
@@ -142,9 +139,14 @@ def decode_wav(path):
             )
         offset, size = data_at
         n = size // (dtype.itemsize * channels)
-        if n == 0:  # numpy maps no empty array
+        if n == 0:
             raise DecodeError("data chunk: no samples")
-        data = np.memmap(f, dtype, mode="r", offset=offset, shape=(n,) if channels == 1 else (n, 2))
+        f.seek(offset)
+        data = np.fromfile(f, dtype, count=n * channels)
+    if data.size != n * channels:  # the file shrank since it was measured
+        raise DecodeError(f"data chunk: truncated (wanted {size} bytes, got {data.nbytes})")
+    data = data.reshape(n, 2) if channels == 2 else data
+    data.flags.writeable = False  # intervals share it
     if dtype.kind == "f":
         flat = data.reshape(-1)
         for i in range(0, flat.size, _SCAN):

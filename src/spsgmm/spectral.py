@@ -80,39 +80,30 @@ def magnitude_spectra(frames, cfg):
     its own, so a block of rows gives the same bits as the whole array.  A
     frame length with a prime factor above 5 (662 = 2 * 331 at 22050 Hz) is
     slow enough per frame that row blocks go to every usable core; smooth
-    lengths (480 at 16 kHz) are cheaper in one call than the hand-off.
-
-    A frame holding a nan or an infinity is refused.  The check reads the
-    spectra, which are smaller than the overlapping frames: nan and inf never
-    become finite under +, -, * and hypot, so such a frame has no finite bin.
-    A finite frame whose spectrum overflows (samples near 1e306) is refused
-    too; decoded audio lies in [-1, 1] and never does."""
+    lengths (480 at 16 kHz) are cheaper in one call than the hand-off."""
     frames = np.asarray(frames, np.float64)
     if frames.ndim != 2 or frames.shape[1] != cfg.frame_len:
         raise InputError(
             f"expected frames of shape (L, {cfg.frame_len}), got {frames.shape}"
         )
+    if not np.isfinite(frames).all():
+        raise InputError("non-finite sample in frame")
     w = _window_vector(cfg)
     if w is not None:
         frames = frames * w
     if is_smooth(cfg.frame_len):
         # slicing first makes the modulus a contiguous array of only the kept bins
-        with np.errstate(invalid="ignore", over="ignore"):  # refused below
-            out = np.abs(np.fft.rfft(frames, axis=1)[:, : cfg.n_f])
-    else:
-        # the full complex spectrum is allocated once, as by the single call,
-        # so blocks add no temporaries and the allocator sees the same sizes
-        spec = np.empty((frames.shape[0], cfg.n_f + 1), np.complex128)
-        out = np.empty((frames.shape[0], cfg.n_f))
+        return np.abs(np.fft.rfft(frames, axis=1)[:, : cfg.n_f])
+    # the full complex spectrum is allocated once, as by the single call, so
+    # blocks add no temporaries and the allocator sees the same sizes
+    spec = np.empty((frames.shape[0], cfg.n_f + 1), np.complex128)
+    out = np.empty((frames.shape[0], cfg.n_f))
 
-        def block(rows):
-            with np.errstate(invalid="ignore", over="ignore"):  # set per thread
-                np.fft.rfft(frames[rows], axis=1, out=spec[rows])
-                np.abs(spec[rows, : cfg.n_f], out=out[rows])
+    def block(rows):
+        np.fft.rfft(frames[rows], axis=1, out=spec[rows])
+        np.abs(spec[rows, : cfg.n_f], out=out[rows])
 
-        map_row_blocks(block, frames.shape[0])
-    if not np.isfinite(out).all():
-        raise InputError("non-finite sample in frame")
+    map_row_blocks(block, frames.shape[0])
     return out
 
 

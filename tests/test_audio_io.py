@@ -1,6 +1,9 @@
 """WAV decoding, segmentation, and corpus scanning."""
 
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -100,6 +103,19 @@ class TestDecodeWav:
         path.write_bytes(raw[:-50])
         with pytest.raises(DecodeError, match="truncated"):
             decode_wav(path)
+
+    def test_file_shrunk_after_its_size_was_read(self, tmp_path, monkeypatch):
+        """The samples are read after the header's size claim was checked;
+        a file that holds fewer bytes by then is refused, not cut short."""
+        raw = wav_bytes(np.arange(100, dtype=np.int16))
+        path = tmp_path / "bad.wav"
+        path.write_bytes(raw[:-50])
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+            (*real_fstat(fd)[:6], len(raw), *real_fstat(fd)[7:])))
+        with pytest.raises(DecodeError) as exc:
+            decode_wav(path)
+        assert str(exc.value) == "data chunk: truncated (wanted 200 bytes, got 150)"
 
     def test_claimed_chunk_size_is_not_allocated(self, tmp_path):
         """A data chunk claiming 0xFFFFFFF0 bytes of a 52-byte file is refused
@@ -283,15 +299,14 @@ class TestDecodedDtype:
             assert got[kind].values.tobytes() == want[kind].values.tobytes()
 
 
-class TestMappedData:
-    """Decoded audio is a read-only map of the file's data chunk, and each
-    interval a slice of it; samples are widened on access."""
+class TestRawData:
+    """Decoded audio is the data chunk's values as stored, read-only, and
+    each interval a slice of them; samples are widened on access."""
 
     @pytest.mark.parametrize("fmt, channels", [("pcm16", 1), ("pcm16", 2), ("float32", 1), ("float32", 2)])
-    def test_intervals_are_slices_of_the_map(self, make_wav, fmt, channels):
+    def test_intervals_are_slices_of_the_raw_values(self, make_wav, fmt, channels):
         raw = _raw(fmt, channels, seed=4)
         sig = decode_wav(make_wav("a.wav", raw, sample_rate=1000, fmt=fmt))
-        assert isinstance(sig.data, np.memmap)
         assert not sig.data.flags.writeable
         assert sig.data.dtype == ("<i2" if fmt == "pcm16" else "<f4")
         assert sig.data.shape == raw.shape
@@ -307,9 +322,9 @@ class TestMappedData:
         assert AudioSignal(x, 8).samples is x
         assert AudioInterval(x, 8, "x", 0).samples is x
 
-    def test_load_intervals_holds_no_copy(self, tmp_path):
-        """60 s of 44.1 kHz PCM16 is 5.3 MB of file; a float32 copy of it
-        would be 10.6 MB on the heap."""
+    def test_load_intervals_holds_the_file_bytes(self, tmp_path):
+        """60 s of 44.1 kHz PCM16 is 5.3 MB of samples; a float32 copy of
+        them would add 10.6 MB."""
         path = tmp_path / "long.wav"
         write_wav(path, np.random.default_rng(0).uniform(-0.5, 0.5, 60 * 44100), 44100)
         tracemalloc.start()
@@ -319,11 +334,11 @@ class TestMappedData:
         finally:
             tracemalloc.stop()
         assert len(intervals) == 60 and skipped == []
-        assert peak < 1e6
+        assert peak < 60 * 44100 * 2 + 1e6
 
-    def test_float32_scan_holds_no_copy(self, tmp_path):
+    def test_float32_scan_holds_the_file_bytes(self, tmp_path):
         """decode_wav checks every float32 sample for finiteness, in pieces of
-        bounded size: 60 s of 44.1 kHz float32 is 10.6 MB of file."""
+        bounded size: 60 s of 44.1 kHz float32 is 10.6 MB of samples."""
         path = tmp_path / "long.wav"
         write_wav(path, np.random.default_rng(0).uniform(-0.5, 0.5, 60 * 44100), 44100, fmt="float32")
         tracemalloc.start()
@@ -332,8 +347,28 @@ class TestMappedData:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2e6
+        assert peak < 60 * 44100 * 4 + 1e6
         assert len(sig.data) == 60 * 44100
+
+    def test_more_files_than_descriptors(self, tmp_path):
+        """Decoded files hold no open descriptor: a directory of more files
+        than the process may have open at once decodes whole."""
+        rng = np.random.default_rng(5)
+        for i in range(80):
+            write_wav(tmp_path / f"{i:02d}.wav", rng.uniform(-0.5, 0.5, SR // 10), SR)
+        script = (
+            "import resource, sys\n"
+            "from spsgmm.audio_io import load_intervals\n"
+            "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (48, hard))\n"
+            "intervals, skipped = load_intervals(sys.argv[1], 0.1)\n"
+            "print(len(intervals), len(skipped))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["80", "0"]
 
 
 class TestSegmentIntervals:

