@@ -4,7 +4,7 @@ import csv
 import io
 import itertools
 import os
-import tempfile
+import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -13,15 +13,18 @@ BLOCK_ROWS = 128
 
 def atomic_write_text(path, text):
     """Write text to path via a temp file + rename so a failed run never
-    leaves a truncated file behind."""
-    directory = os.path.dirname(os.path.abspath(path))
+    leaves a truncated file behind.  The file gets the mode open(path, "w")
+    would give it: a new one 0o666 less the umask, a replaced one its own."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(6).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+        f = open(tmp, "x", encoding="utf-8", newline="\n")
     except OSError as exc:  # name the path asked for, not the temp file
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
+        with f:
             f.write(text)
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -45,6 +45,7 @@ DEFAULT_K_GRID = (1, 2, 4, 8, 16, 32)
 _LOG2PI = math.log(2.0 * math.pi)
 # Elements in one (n, components, d) EM or scoring temporary: 8 MB of float64.
 BUDGET = 1 << 20
+MAX_ITER, TOL = 200, 1e-6  # EM's step cap and relative log-likelihood tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,15 +203,15 @@ def _farthest_point_init(X, K, rng):
     return X[np.array(centers)].copy()
 
 
-def _fit_mixtures(Xs, K, rng, max_iter=200, tol=1e-6):
+def _fit_mixtures(Xs, K, rng):
     """[(weights, means, vars, trace)] of a K-component mixture per (n, d)
     array of Xs, seeded from rng in that order; one stack when they fit."""
     n, d = Xs[0].shape
     alike = all(x.shape == (n, d) for x in Xs)
-    return [fit for xs in _stacks(Xs, alike, n, d) for fit in _em(xs, K, rng, max_iter, tol)]
+    return [fit for xs in _stacks(Xs, alike, n, d) for fit in _em(xs, K, rng)]
 
 
-def _em(xs, K, rng, max_iter, tol):
+def _em(xs, K, rng):
     """EM on B same-shape (n, d) problems as one (B, n, d) stack, the whole
     stack per numpy call."""
     X = np.stack(xs) if len(xs) > 1 else xs[0][None]  # one alone: no copy
@@ -224,14 +225,14 @@ def _em(xs, K, rng, max_iter, tol):
     active = list(range(B))  # the problem in each row of the stack
     traces = [[] for _ in range(B)]
     fits = [None] * B
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         resp, ll = _estep(X, means, vars, weights, groups)
         t = np.add.reduce(ll, axis=1) / n
         keep = []
         for b, i in enumerate(active):
             trace = traces[i]
             trace.append(t[b])
-            if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
+            if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= TOL * max(1.0, abs(trace[-1])):
                 fits[i] = (weights[b], means[b], vars[b], trace)
             else:
                 keep.append(b)

@@ -8,6 +8,7 @@ artifact.  Exit codes: 0 success, 1 runtime failure, 2 usage/input error.
 """
 
 import argparse
+import errno
 import os
 import sys
 import warnings
@@ -127,7 +128,8 @@ def _front_end(args):
     must last a frame plus a hop.  The rate is not known before decoding, so
     this compares durations; rounding each to samples can still leave an
     interval a sample or two short of two frames at the bound, which
-    feature extraction then refuses by file."""
+    feature extraction then refuses by file.  A file --out needs an existing
+    directory, and a directory --out must not be a file."""
     if args.command != "inspect":
         pipeline.check_p(args.p)
     elif args.p < 1:
@@ -140,6 +142,11 @@ def _front_end(args):
             "--interval-ms must be at least --frame-ms + --hop-ms, got "
             f"{args.interval_ms} < {args.frame_ms} + {args.hop_ms}"
         )
+    if args.command in ("evaluate", "inspect"):
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
+    elif args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
     kw = dict(frame_ms=args.frame_ms, hop_ms=args.hop_ms, window=args.window, p=args.p)
     return kw, args.interval_ms / 1000.0
 

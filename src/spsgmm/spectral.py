@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cells, csv_text, is_smooth, map_row_blocks
+from ._util import cells, csv_text, map_row_blocks
 from .errors import ConfigError, InputError
 
 WINDOWS = ("rect", "hamming")
@@ -66,21 +66,13 @@ def frame_interval(interval, cfg):
     return np.lib.stride_tricks.sliding_window_view(x, cfg.frame_len)[:: cfg.hop]
 
 
-def _window_vector(cfg):
-    if cfg.window == "hamming":
-        return np.hamming(cfg.frame_len)
-    return None
-
-
 def magnitude_spectra(frames, cfg):
     """|DFT| of every frame, bins 0..n_f-1, as an (L, n_f) array.
 
     numpy's pocketfft evaluates the exact mixed-radix/Bluestein transform for
     any length, so frame_len never needs padding.  It transforms each row on
-    its own, so a block of rows gives the same bits as the whole array.  A
-    frame length with a prime factor above 5 (662 = 2 * 331 at 22050 Hz) is
-    slow enough per frame that row blocks go to every usable core; smooth
-    lengths (480 at 16 kHz) are cheaper in one call than the hand-off."""
+    its own, so a block of rows gives the same bits as the whole array: row
+    blocks go to every usable core, at every frame length."""
     frames = np.asarray(frames, np.float64)
     if frames.ndim != 2 or frames.shape[1] != cfg.frame_len:
         raise InputError(
@@ -88,13 +80,9 @@ def magnitude_spectra(frames, cfg):
         )
     if not np.isfinite(frames).all():
         raise InputError("non-finite sample in frame")
-    w = _window_vector(cfg)
-    if w is not None:
-        frames = frames * w
-    if is_smooth(cfg.frame_len):
-        # slicing first makes the modulus a contiguous array of only the kept bins
-        return np.abs(np.fft.rfft(frames, axis=1)[:, : cfg.n_f])
-    # the full complex spectrum is allocated once, as by the single call, so
+    if cfg.window == "hamming":
+        frames = frames * np.hamming(cfg.frame_len)
+    # the full complex spectrum is allocated once, as one rfft call would, so
     # blocks add no temporaries and the allocator sees the same sizes
     spec = np.empty((frames.shape[0], cfg.n_f + 1), np.complex128)
     out = np.empty((frames.shape[0], cfg.n_f))

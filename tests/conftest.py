@@ -154,7 +154,7 @@ def cli():
     """Run the CLI in a fresh interpreter, where a numpy RuntimeWarning is an
     error as it is in the tests themselves."""
 
-    def _run(*args):
+    def _run(*args, **kw):
         env = os.environ.copy()
         env["PYTHONWARNINGS"] = "error::RuntimeWarning"
         return subprocess.run(
@@ -162,6 +162,7 @@ def cli():
             capture_output=True,
             text=True,
             env=env,
+            **kw,
         )
 
     return _run

@@ -417,10 +417,11 @@ class TestMemoryBound:
         rows = Rows("sps_p", rng.normal(0, 1, (self.n, self.d)))
         assert self._peak(lambda: score(model, rows)) <= self._limit()
 
-    def test_fit(self):
+    def test_fit(self, monkeypatch):
+        monkeypatch.setattr(classifier, "MAX_ITER", 2)
         rng = np.random.default_rng(6)
         Xs = [rng.normal(0, 1, (self.n, self.d)) for _ in LABELS]
-        fit = lambda: classifier._fit_mixtures(Xs, self.K, rng, max_iter=2)
+        fit = lambda: classifier._fit_mixtures(Xs, self.K, rng)
         assert self._peak(fit) <= self._limit()
 
 

@@ -8,6 +8,7 @@ import csv
 import inspect
 import io
 import shutil
+import stat
 import warnings
 
 import numpy as np
@@ -618,6 +619,23 @@ class TestQuotedSourceIds:
         )
         header, *back = csv.reader(io.StringIO(text, newline=""))
         assert back == [[str(v) for v in row] for row in rows]
+
+
+class TestFileModes:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=oct)
+    def test_new_file_follows_the_umask_and_replaced_file_keeps_its_mode(
+        self, cli, speech_wav, tmp_path, umask
+    ):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        old.write_text("old\n")
+        old.chmod(0o644)
+        for out in (new, old):
+            r = cli("extract", speech_wav, "--feature", "sps-zcr", "--p", 2, "--out", out,
+                    umask=umask)
+            assert r.returncode == 0, r.stderr
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert stat.S_IMODE(old.stat().st_mode) == 0o644
+        assert old.read_text() == new.read_text()
 
 
 class TestUsage:

@@ -1,8 +1,11 @@
-"""The CLI's flag checks, run in-process: every bad analysis or fit flag is
-refused with exit 2 before any path is opened, so before any audio is
-decoded; a corpus of two sample rates is refused before any feature is
-extracted; and an interval too short for two frames at its file's rate is
-refused by name once the rate is known."""
+"""The CLI's flag checks, run in-process: every bad analysis or fit flag,
+and every --out the command could not write, is refused with exit 2 before
+any path is opened, so before any audio is decoded; a corpus of two sample
+rates is refused before any feature is extracted; and an interval too short
+for two frames at its file's rate is refused by name once the rate is
+known."""
+
+import os
 
 import numpy as np
 import pytest
@@ -47,6 +50,16 @@ MORE_ANALYSIS_FLAGS = [
     (["--hop-ms", "inf"], "need finite frame_ms > hop_ms > 0, got 30.0/inf"),
 ]
 
+# an --out the command could not write, listed after the rows above: a file
+# in a directory that is not there, and a directory that is a file
+NO_DIR = os.path.join(os.devnull, "out")
+OUT_CASES = [
+    *[(c, ["--out", NO_DIR], f"[Errno 2] No such file or directory: {NO_DIR!r}")
+      for c in ("extract", "train", "predict")],
+    *[(c, ["--out", os.devnull], f"[Errno 17] File exists: {os.devnull!r}")
+      for c in ("evaluate", "inspect")],
+]
+
 
 def p_case(command):
     if command == "inspect":  # inspect needs one peak row, extraction two
@@ -62,6 +75,7 @@ CASES = [
     *[(c, flags, msg) for c in COMMANDS for flags, msg in ANALYSIS_FLAGS],
     *[(c, flags, msg) for c in ("train", "evaluate") for flags, msg in FIT_FLAGS],
     *[(c, flags, msg) for c in COMMANDS for flags, msg in MORE_ANALYSIS_FLAGS],
+    *OUT_CASES,
 ]
 
 
