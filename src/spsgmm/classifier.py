@@ -29,6 +29,7 @@ Decision rule: argmax of class log-likelihood plus log prior; exact ties go
 to speech so confusion matrices are reproducible.
 """
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -480,34 +481,6 @@ def _fmt(values):
     return " ".join(f"{v:.17g}" for v in np.atleast_1d(values))
 
 
-def model_to_text(model):
-    meta = model.train_meta
-    lines = [
-        "spsgmm v1",
-        "meta",
-        f"feature_kind {model.feature_kind}",
-        f"dim {model.dim}",
-        f"seed {meta.get('seed', 0)}",
-        "k_grid " + ",".join(str(k) for k in meta.get("k_grid", [])),
-        f"chosen_k {meta.get('chosen_k', model.classes['speech'].weights.size)}",
-        "standardizer",
-        f"mean {_fmt(model.standardizer.mean)}",
-        f"std {_fmt(model.standardizer.std)}",
-    ]
-    for label in LABELS:
-        mix = model.classes[label]
-        lines.append(f"class {label}")
-        lines.append(f"log_prior {mix.log_prior:.17g}")
-        lines.append(f"weights {_fmt(mix.weights)}")
-        lines.append("means")
-        for row in mix.means:
-            lines.append(_fmt(row))
-        lines.append("vars")
-        for row in mix.vars:
-            lines.append(_fmt(row))
-    return "\n".join(lines) + "\n"
-
-
 def _numbers(convert, tokens, line):
     try:
         return [convert(t) for t in tokens]
@@ -515,14 +488,79 @@ def _numbers(convert, tokens, line):
         raise InputError(f"non-numeric value in model file line {line!r}") from None
 
 
-def _checked(name, values, positive=False):
-    # a fitted model never breaks these: std is floored at 1e-8, vars at
-    # 1e-12 or more, and EM adds 1e-300 to every component's mass
+# A fitted model passes both checks: std is floored at 1e-8, vars at 1e-12
+# or more, and EM adds 1e-300 to every component's mass.
+def _finite(name, values):
     if not np.isfinite(values).all():
-        raise InputError(f"model file {name}: non-finite value")
-    if positive and not (values > 0).all():
-        raise InputError(f"model file {name}: value not above 0")
-    return values
+        raise InputError(f"{name}: non-finite value")
+
+
+def _positive(name, values):
+    _finite(name, values)
+    if not (values > 0).all():
+        raise InputError(f"{name}: value not above 0")
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """How a value is written as the text after its key, and read back from
+    that text (the whole line names it in errors)."""
+
+    write: object  # value -> text
+    read: object  # (text, line) -> value
+
+
+# A "marker" line is its key alone, and so is a "rows" line, which one line of
+# numbers per mixture component follows.
+_SHAPES = {
+    "str": _Shape(str, lambda rest, line: rest),
+    "int": _Shape(str, lambda rest, line: _numbers(int, [rest], line)[0]),
+    "float": _Shape(_fmt, lambda rest, line: _numbers(float, [rest], line)[0]),
+    "ints": _Shape(lambda v: ",".join(map(str, v)),
+                   lambda rest, line: _numbers(int, rest.split(",") if rest else [], line)),
+    "floats": _Shape(_fmt, lambda rest, line: np.array(_numbers(float, rest.split(), line))),
+}
+
+# The v1 layout, one (section, key, shape, check) row per line or block, in
+# file order.  A check takes the value's name and the value.
+_LAYOUT = (
+    ("meta", "meta", "marker", None),
+    ("meta", "feature_kind", "str", None),
+    ("meta", "dim", "int", None),
+    ("meta", "seed", "int", check_seed),
+    ("meta", "k_grid", "ints", check_counts),
+    ("meta", "chosen_k", "int", None),
+    ("standardizer", "standardizer", "marker", None),
+    ("standardizer", "mean", "floats", _finite),
+    ("standardizer", "std", "floats", _positive),
+) + tuple(
+    (f"class {label}", key, shape, check)
+    for label in LABELS
+    for key, shape, check in (
+        (f"class {label}", "marker", None),
+        ("log_prior", "float", _finite),
+        ("weights", "floats", _positive),
+        ("means", "rows", _finite),
+        ("vars", "rows", _positive),
+    )
+)
+
+
+def model_to_text(model):
+    meta = {"seed": 0, "k_grid": [], "chosen_k": model.classes["speech"].weights.size,
+            **model.train_meta, "feature_kind": model.feature_kind, "dim": model.dim}
+    values = {"meta": meta, "standardizer": vars(model.standardizer),
+              **{f"class {label}": vars(model.classes[label]) for label in LABELS}}
+    lines = ["spsgmm v1"]
+    for section, key, shape, _ in _LAYOUT:
+        value = values[section].get(key)
+        if shape == "marker":
+            lines.append(key)
+        elif shape == "rows":
+            lines += [key, *map(_fmt, value)]
+        else:
+            lines.append(f"{key} {_SHAPES[shape].write(value)}")
+    return "\n".join(lines) + "\n"
 
 
 def model_from_text(text):
@@ -532,88 +570,53 @@ def model_from_text(text):
     lines = iter([l for l in text.splitlines() if l.strip()])
     if next(lines, None) != "spsgmm v1":
         raise InputError("not a spsgmm v1 model file")
-
-    def take(key, marker=False):
-        """What follows "key " on the next line, which must be key alone
-        if it is a marker."""
+    got = {}
+    for section, key, shape, check in _LAYOUT:
+        values = got.setdefault(section, {})
         line = next(lines, None)
         if line is None:
             raise InputError(f"model file incomplete (it ends before its {key} line)")
-        if line == key if marker else line.startswith(key + " "):
-            return line[len(key) + 1:]
-        raise InputError(f"unexpected line in model file: {line!r}")
-
-    def scalar(key, convert):
-        rest = take(key)
-        return _numbers(convert, [rest], f"{key} {rest}")[0]
-
-    def vector(key):
-        rest = take(key)
-        return np.array(_numbers(float, rest.split(), f"{key} {rest}"))
-
-    def matrix(key, K, d):
-        take(key, marker=True)
-        rows = []
-        for _ in range(K):
-            row = next(lines, None)
-            if row is None:
+        if line != key if shape in ("marker", "rows") else not line.startswith(key + " "):
+            raise InputError(f"unexpected line in model file: {line!r}")
+        if shape == "rows":
+            K = values["weights"].size
+            rows = [_numbers(float, row.split(), row) for row in itertools.islice(lines, K)]
+            if len(rows) < K:
                 raise InputError(f"model file ends inside a {key} block")
-            rows.append(_numbers(float, row.split(), row))
-        if len({len(r) for r in rows}) != 1:
-            raise InputError(f"ragged {key} block in model file")
-        if len(rows[0]) != d:
+            if len({len(r) for r in rows}) != 1:
+                raise InputError(f"ragged {key} block in model file")
+            d = got["standardizer"]["mean"].size
+            if len(rows[0]) != d:
+                raise InputError(
+                    f"model file dims disagree: standardizer {d}, {key} rows {len(rows[0])}"
+                )
+            values[key] = np.array(rows)
+        elif shape != "marker":
+            values[key] = _SHAPES[shape].read(line[len(key) + 1 :], line)
+        if check:
+            check(f"model file {key}" if section == "meta" else f"model file {section} {key}",
+                  values[key])
+        if key == "std" and not values["mean"].size == values["std"].size == got["meta"]["dim"]:
             raise InputError(
-                f"model file dims disagree: standardizer {d}, {key} rows {len(rows[0])}"
+                f"model file dims disagree: standardizer mean {values['mean'].size}, "
+                f"std {values['std'].size}, dim line {got['meta']['dim']}"
             )
-        return np.array(rows)
-
-    take("meta", marker=True)
-    meta = {"feature_kind": take("feature_kind")}
-    meta["dim"], meta["seed"] = scalar("dim", int), scalar("seed", int)
-    check_seed("model file seed", meta["seed"])
-    grid = take("k_grid")
-    meta["k_grid"] = _numbers(int, grid.split(",") if grid else [], f"k_grid {grid}")
-    check_counts("model file k_grid", meta["k_grid"])
-    meta["chosen_k"] = scalar("chosen_k", int)
-    take("standardizer", marker=True)
-    mean, std = vector("mean"), vector("std")
-    d = mean.size
-    if std.size != d or meta["dim"] != d:
-        raise InputError(
-            f"model file dims disagree: standardizer mean {d}, "
-            f"std {std.size}, dim line {meta['dim']}"
-        )
-    standardizer = Standardizer(
-        mean=_checked("standardizer mean", mean),
-        std=_checked("standardizer std", std, positive=True),
-    )
-    mixes = {}
-    for label in LABELS:
-        name = f"class {label}"
-        take(name, marker=True)
-        log_prior = _checked(f"{name} log_prior", scalar("log_prior", float))
-        weights = _checked(f"{name} weights", vector("weights"), positive=True)
-        # EM divides the weights by their sum, which leaves them within a few
-        # ulps per component of summing to 1
-        K, total = weights.size, math.fsum(weights)
-        if abs(total - 1.0) > 4 * K * np.finfo(np.float64).eps:
-            raise InputError(f"model file {name} weights: sum {total!r} is not 1")
-        # both classes are fitted at the chosen K
-        if K != meta["chosen_k"]:
-            raise InputError(
-                f"model file {name} weights: K = {K}, but chosen_k is {meta['chosen_k']}"
-            )
-        mixes[label] = Mixture(
-            weights=weights,
-            means=_checked(f"{name} means", matrix("means", K, d)),
-            vars=_checked(f"{name} vars", matrix("vars", K, d), positive=True),
-            log_prior=log_prior,
-        )
+        if key == "weights":
+            # EM divides the weights by their sum, which leaves them within a
+            # few ulps per component of summing to 1
+            K, total = values[key].size, math.fsum(values[key])
+            if abs(total - 1.0) > 4 * K * np.finfo(np.float64).eps:
+                raise InputError(f"model file {section} weights: sum {total!r} is not 1")
+            # both classes are fitted at the chosen K
+            if K != got["meta"]["chosen_k"]:
+                raise InputError(f"model file {section} weights: K = {K}, "
+                                 f"but chosen_k is {got['meta']['chosen_k']}")
     extra = next(lines, None)
     if extra is not None:
         raise InputError(f"unexpected line in model file: {extra!r}")
-    return GmmModel(feature_kind=meta["feature_kind"], standardizer=standardizer,
-                    classes=mixes, train_meta=meta)
+    meta = got["meta"]
+    classes = {label: Mixture(**got[f"class {label}"]) for label in LABELS}
+    return GmmModel(meta["feature_kind"], Standardizer(**got["standardizer"]), classes, meta)
 
 
 def save_model(model, path):

@@ -128,8 +128,10 @@ def _front_end(args):
     must last a frame plus a hop.  The rate is not known before decoding, so
     this compares durations; rounding each to samples can still leave an
     interval a sample or two short of two frames at the bound, which
-    feature extraction then refuses by file.  A file --out needs an existing
-    directory, and a directory --out must not be a file."""
+    feature extraction then refuses by file.  A file --out (each CSV of
+    extract --feature all) needs an existing directory and must not be one,
+    and a directory --out must be one or be makeable: its nearest existing
+    ancestor a directory."""
     if args.command != "inspect":
         pipeline.check_p(args.p)
     elif args.p < 1:
@@ -143,12 +145,29 @@ def _front_end(args):
             f"{args.interval_ms} < {args.frame_ms} + {args.hop_ms}"
         )
     if args.command in ("evaluate", "inspect"):
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), args.out)
-    elif args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+        head = os.path.abspath(args.out)
+        while not os.path.lexists(head):
+            head = os.path.dirname(head)
+        if not os.path.isdir(head):
+            fault = errno.EEXIST if head == os.path.abspath(args.out) else errno.ENOTDIR
+            raise OSError(fault, os.strerror(fault), args.out)
+    elif args.out:  # predict without --out writes to stdout
+        for path in _extract_outs(args).values() if args.command == "extract" else [args.out]:
+            if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     kw = dict(frame_ms=args.frame_ms, hop_ms=args.hop_ms, window=args.window, p=args.p)
     return kw, args.interval_ms / 1000.0
+
+
+def _extract_outs(args):
+    """{kind: path} of the CSVs extract writes: --out itself for one kind,
+    {base}_{kind}{ext} for each kind of --feature all."""
+    if args.feature != "all":
+        return {_FEATURE_FLAG[args.feature]: args.out}
+    base, ext = os.path.splitext(args.out)
+    return {kind: f"{base}_{kind}{ext or '.csv'}" for kind in KINDS}
 
 
 def _fit_flags(args):
@@ -194,15 +213,13 @@ def _extract(intervals, kw):
 
 def cmd_extract(args):
     kw, interval_s = _front_end(args)
-    kinds = KINDS if args.feature == "all" else [_FEATURE_FLAG[args.feature]]
-    if "late_fused" in kinds:
+    outs = _extract_outs(args)
+    if "late_fused" in outs:
         raise InputError("late-fused is a scoring scheme, not an extractable vector")
     intervals = _load_intervals(args.input, interval_s)
     cache = _extract(intervals, kw)
-    base, ext = os.path.splitext(args.out)
-    for kind in kinds:
+    for kind, out in outs.items():
         vectors = pipeline.vectors_of(cache, intervals, kind)
-        out = args.out if len(kinds) == 1 else f"{base}_{kind}{ext or '.csv'}"
         atomic_write_text(out, feature_csv(intervals, vectors))
         print(f"wrote {out} ({len(vectors)} rows)")
     return 0

@@ -82,8 +82,12 @@ def magnitude_spectra(frames, cfg):
         raise InputError("non-finite sample in frame")
     if cfg.window == "hamming":
         frames = frames * np.hamming(cfg.frame_len)
-    # the full complex spectrum is allocated once, as one rfft call would, so
-    # blocks add no temporaries and the allocator sees the same sizes
+    # The full complex spectrum is allocated once, as one rfft call would, and
+    # not block by block.  Freeing a buffer this large (3.7 MB at 16 kHz and
+    # 5.2 MB at 22050 Hz, for 1 s at the default hop) raises glibc's mmap and
+    # trim thresholds above the later stages' temporaries, so build_peak_matrix
+    # and the stages after it reuse heap pages instead of faulting in new ones
+    # every interval.
     spec = np.empty((frames.shape[0], cfg.n_f + 1), np.complex128)
     out = np.empty((frames.shape[0], cfg.n_f))
 

@@ -58,6 +58,9 @@ OUT_CASES = [
       for c in ("extract", "train", "predict")],
     *[(c, ["--out", os.devnull], f"[Errno 17] File exists: {os.devnull!r}")
       for c in ("evaluate", "inspect")],
+    # a directory --out that cannot be made: one under a file
+    *[(c, ["--out", NO_DIR], f"[Errno 20] Not a directory: {NO_DIR!r}")
+      for c in ("evaluate", "inspect")],
 ]
 
 
@@ -113,9 +116,9 @@ def test_refused_before_decoding(command, flags, message, tmp_path, capsys):
     assert_refused(command, flags, message, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("command", ("extract", "inspect"))
-def test_good_flags_reach_decoding(command, wav, tmp_path, monkeypatch):
-    # the control for the table: with no bad flag, a run decodes its input
+def spy_on_decoding(monkeypatch):
+    """The list of paths decode_wav is asked for from now on; each call
+    raises OSError("recorded")."""
     decoded = []
 
     def record(path):
@@ -123,8 +126,43 @@ def test_good_flags_reach_decoding(command, wav, tmp_path, monkeypatch):
         raise OSError("recorded")
 
     monkeypatch.setattr(spsgmm_cli.audio_io, "decode_wav", record)
+    return decoded
+
+
+@pytest.mark.parametrize("command", ("extract", "train", "evaluate", "inspect"))
+def test_good_flags_reach_decoding(command, wav, tmp_path, monkeypatch):
+    # the control for the table: with no bad flag, a run decodes its input
+    decoded = spy_on_decoding(monkeypatch)
     assert spsgmm_cli.main([*argv_of(command, wav, tmp_path / "out"), "--p", "2"]) == 2
     assert decoded == [str(wav)]
+
+
+@pytest.mark.parametrize("command, flags, taken", [
+    ("extract", ["--feature", "sps-zcr"], "out"),
+    ("extract", ["--feature", "all"], "out_sps_scg.csv"),  # the third of its four CSVs
+    ("train", [], "out"),
+    ("predict", [], "out"),
+])
+def test_file_out_that_is_a_directory_refused_before_decoding(
+    command, flags, taken, wav, tmp_path, monkeypatch, capsys
+):
+    taken = tmp_path / taken
+    taken.mkdir()
+    decoded = spy_on_decoding(monkeypatch)
+    assert spsgmm_cli.main([*argv_of(command, wav, tmp_path / "out"), "--p", "2", *flags]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(taken)!r}\n"
+    assert decoded == []
+
+
+@pytest.mark.parametrize("command", ("evaluate", "inspect"))
+def test_directory_out_under_a_file_refused_before_decoding(command, wav, tmp_path, monkeypatch,
+                                                             capsys):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "sub" / "out"
+    decoded = spy_on_decoding(monkeypatch)
+    assert spsgmm_cli.main([*argv_of(command, wav, out), "--p", "2"]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: {str(out)!r}\n"
+    assert decoded == []
 
 
 @pytest.mark.parametrize("command", ("train", "evaluate"))

@@ -31,6 +31,11 @@ class TestMakeFrameConfig:
         cfg = make_frame_config(16000, 30, 1)
         assert (cfg.frame_len, cfg.hop) == (480, 16)
 
+    def test_sub_sample_hop_takes_one_sample(self):
+        # 0.01 ms is 0.441 samples at 44100 Hz, which rounds to 0
+        cfg = make_frame_config(44100, 30, 0.01)
+        assert (cfg.frame_len, cfg.hop) == (1324, 1)
+
     def test_hop_longer_than_frame_is_error(self):
         with pytest.raises(ConfigError):
             make_frame_config(8000, 30, 40)

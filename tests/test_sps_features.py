@@ -413,3 +413,19 @@ class TestCsvExports:
         assert len(zcr_lines) == 1 + 4 * 20
         cap = min(a.autocorr.shape[1] - 1 for a in attrs)
         assert len(ac_lines) == 1 + 4 * (cap + 1)
+        # each row's autocorrelation divided by its lag-0 value, averaged over
+        # the intervals, at the lags both have (L = 4 has lags 0..2, L = 6 0..3)
+        first = compute_attributes(np.array([[0, 2, 0, 2], [5, 5, 5, 5]]))
+        # centred rows [-1, 1, -1, 1] and [0, 0, 0, 0]: A = [1, -3/4, 1/2] and
+        # [0, 0, 0], whose lag-0 value 0 leaves it undivided
+        second = compute_attributes(np.array([[0, 0, 0, 3, 3, 3], [1, 0, 1, 0, 1, 0]]))
+        # centred rows 1.5 * [-1, -1, -1, 1, 1, 1] and 0.5 * [1, -1, 1, -1, 1, -1]:
+        # A = 9/4 * [1, 1/2, 0, -1/2] and 1/4 * [1, -5/6, 2/3, -1/2]
+        _, ac_text = distribution_csv([first, second])
+        got = {(int(r), int(lag)): float(v) for r, lag, v in
+               (line.split(",") for line in ac_text.splitlines()[1:])}
+        want = {(0, 0): 1.0, (0, 1): (-0.75 + 0.5) / 2, (0, 2): (0.5 + 0.0) / 2,
+                (1, 0): (0.0 + 1.0) / 2, (1, 1): (0.0 - 5 / 6) / 2, (1, 2): (0.0 + 2 / 3) / 2}
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-12, abs=1e-15)
