@@ -25,7 +25,10 @@ def atomic_write_text(path, text):
             f.write(text)
         if os.path.exists(path):
             shutil.copymode(path, tmp)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # as for open: name the path, not the temp file
+            raise type(exc)(exc.errno, exc.strerror, path) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -122,16 +122,15 @@ def build_parser():
 
 
 def _front_end(args):
-    """(pipeline keywords, interval in seconds), once every analysis flag is
-    known to be usable.  inspect needs no sps_scg, so one peak row will do;
-    feature extraction needs two.  Peaks need two frames, so the interval
-    must last a frame plus a hop.  The rate is not known before decoding, so
-    this compares durations; rounding each to samples can still leave an
-    interval a sample or two short of two frames at the bound, which
-    feature extraction then refuses by file.  A file --out (each CSV of
-    extract --feature all) needs an existing directory and must not be one,
-    and a directory --out must be one or be makeable: its nearest existing
-    ancestor a directory."""
+    """(pipeline keywords, interval in seconds), once every analysis flag and
+    output is known to be usable.  inspect needs no sps_scg, so one peak row
+    will do; feature extraction needs two.  Peaks need two frames, so the
+    interval must last a frame plus a hop.  The rate is not known before
+    decoding, so this compares durations; rounding each to samples can still
+    leave an interval a sample or two short of two frames, which extraction
+    then refuses by file.  No output may be a directory; its directory must
+    exist or, for a directory --out (made once the input is read), have a
+    directory as its nearest existing ancestor."""
     if args.command != "inspect":
         pipeline.check_p(args.p)
     elif args.p < 1:
@@ -144,26 +143,41 @@ def _front_end(args):
             "--interval-ms must be at least --frame-ms + --hop-ms, got "
             f"{args.interval_ms} < {args.frame_ms} + {args.hop_ms}"
         )
-    if args.command in ("evaluate", "inspect"):
-        head = os.path.abspath(args.out)
-        while not os.path.lexists(head):
+    made = args.command in _DIR_FILES
+    read = [getattr(args, a, "") for a in ("model", "input", "speech_dir", "music_dir")]
+    for path in _outputs(args).values():
+        head = os.path.dirname(os.path.abspath(path))
+        while made and not os.path.lexists(head):
             head = os.path.dirname(head)
         if not os.path.isdir(head):
-            fault = errno.EEXIST if head == os.path.abspath(args.out) else errno.ENOTDIR
+            at_out = head == os.path.abspath(args.out)
+            fault = errno.ENOENT if not made else errno.EEXIST if at_out else errno.ENOTDIR
             raise OSError(fault, os.strerror(fault), args.out)
-    elif args.out:  # predict without --out writes to stdout
-        for path in _extract_outs(args).values() if args.command == "extract" else [args.out]:
-            if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        # an input file, or a file of an input directory, would be read and then replaced
+        if os.path.isfile(path) and any(os.path.samefile(p, r) for p in (path, head)
+                                        for r in read if os.path.exists(r)):
+            raise InputError(f"refusing to write {path}: this command reads it")
     kw = dict(frame_ms=args.frame_ms, hop_ms=args.hop_ms, window=args.window, p=args.p)
     return kw, args.interval_ms / 1000.0
 
 
-def _extract_outs(args):
-    """{kind: path} of the CSVs extract writes: --out itself for one kind,
-    {base}_{kind}{ext} for each kind of --feature all."""
+# the files evaluate and inspect write inside --out; inspect's are named for their --emit
+_DIR_FILES = {"evaluate": ("report.txt", "trials.csv", "summary.csv"),
+              "inspect": ("spectrogram.csv", "sps.csv", "dist_zcr.csv", "dist_autocorr.csv")}
+
+
+def _outputs(args):
+    """{name: path} of each file the command writes, in writing order: extract's
+    CSV per kind ({base}_{kind}{ext} for each of --feature all), train's and
+    predict's --out (none for predict to stdout), and _DIR_FILES by --emit."""
+    if args.command in _DIR_FILES:
+        emit = getattr(args, "emit", "all")
+        return {name: os.path.join(args.out, name) for name in _DIR_FILES[args.command]
+                if emit == "all" or name.startswith(emit)}
+    if args.command != "extract":
+        return {"out": args.out} if args.out else {}
     if args.feature != "all":
         return {_FEATURE_FLAG[args.feature]: args.out}
     base, ext = os.path.splitext(args.out)
@@ -213,7 +227,7 @@ def _extract(intervals, kw):
 
 def cmd_extract(args):
     kw, interval_s = _front_end(args)
-    outs = _extract_outs(args)
+    outs = _outputs(args)
     if "late_fused" in outs:
         raise InputError("late-fused is a scoring scheme, not an extractable vector")
     intervals = _load_intervals(args.input, interval_s)
@@ -299,12 +313,11 @@ def cmd_evaluate(args):
     if not reports:
         return 1
     os.makedirs(args.out, exist_ok=True)
-    text = report_text(reports)
-    atomic_write_text(os.path.join(args.out, "report.txt"), text)
-    atomic_write_text(os.path.join(args.out, "trials.csv"), trials_csv(reports))
-    atomic_write_text(os.path.join(args.out, "summary.csv"), summary_csv(reports))
-    sys.stdout.write(text[text.index("summary:"):])
-    print(f"wrote report.txt, trials.csv, summary.csv to {args.out}")
+    texts = [report_text(reports), trials_csv(reports), summary_csv(reports)]
+    for path, text in zip(_outputs(args).values(), texts, strict=True):
+        atomic_write_text(path, text)
+    sys.stdout.write(texts[0][texts[0].index("summary:"):])
+    print(f"wrote {', '.join(_DIR_FILES[args.command])} to {args.out}")
     return 1 if failed else 0
 
 
@@ -318,29 +331,21 @@ def cmd_inspect(args):
             f"interval index {args.interval_index} out of range (input has {len(intervals)})"
         )
     os.makedirs(args.out, exist_ok=True)
-    emit = {"spectrogram", "sps", "dist"} if args.emit == "all" else {args.emit}
+    dist = args.emit in ("all", "dist")
     chosen = intervals[args.interval_index]
     attrs_list, peakless = [], 0
-    for iv in intervals if "dist" in emit else [chosen]:
+    for iv in intervals if dist else [chosen]:
         iv_mags, iv_m, attrs = pipeline.analyze(iv, **kw)
         peakless += iv_m.peakless_frames
         attrs_list.append(attrs)
         if iv is chosen:
             mags, m = iv_mags, iv_m
-
-    def write(name, text):
-        path = os.path.join(args.out, name)
+    texts = [spectrogram_csv(mags)] if args.emit in ("all", "spectrogram") else []
+    texts += [sps_csv(m)] if args.emit in ("all", "sps") else []
+    texts += distribution_csv(attrs_list) if dist else []
+    for path, text in zip(_outputs(args).values(), texts, strict=True):
         atomic_write_text(path, text)
         print(f"wrote {path}")
-
-    if "spectrogram" in emit:
-        write("spectrogram.csv", spectrogram_csv(mags))
-    if "sps" in emit:
-        write("sps.csv", sps_csv(m))
-    if "dist" in emit:
-        zcr_text, ac_text = distribution_csv(attrs_list)
-        write("dist_zcr.csv", zcr_text)
-        write("dist_autocorr.csv", ac_text)
     if peakless:
         _note(f"diagnostics: {peakless} peakless frames")
     return 0

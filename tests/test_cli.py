@@ -16,7 +16,7 @@ import pytest
 
 from experiments.conditions import write_wav
 from spsgmm import cli as spsgmm_cli
-from spsgmm._util import csv_text
+from spsgmm._util import atomic_write_text, csv_text
 from spsgmm.audio_io import decode_wav, segment_intervals
 from spsgmm.classifier import load_model, score
 from spsgmm.pipeline import extract_features
@@ -636,6 +636,14 @@ class TestFileModes:
         assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
         assert stat.S_IMODE(old.stat().st_mode) == 0o644
         assert old.read_text() == new.read_text()
+
+    def test_failed_replace_names_the_path_and_leaves_no_temp_file(self, tmp_path):
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            atomic_write_text(str(taken), "text\n")
+        assert str(info.value) == f"[Errno 21] Is a directory: {str(taken)!r}"
+        assert list(tmp_path.iterdir()) == [taken] and list(taken.iterdir()) == []
 
 
 class TestUsage:

@@ -1,6 +1,7 @@
 """The CLI's flag checks, run in-process: every bad analysis or fit flag,
 and every --out the command could not write, is refused with exit 2 before
-any path is opened, so before any audio is decoded; a corpus of two sample
+any path is opened, so before any audio is decoded; an output that is a file
+the command reads is refused before decoding too; a corpus of two sample
 rates is refused before any feature is extracted; and an interval too short
 for two frames at its file's rate is refused by name once the rate is
 known."""
@@ -142,16 +143,52 @@ def test_good_flags_reach_decoding(command, wav, tmp_path, monkeypatch):
     ("extract", ["--feature", "all"], "out_sps_scg.csv"),  # the third of its four CSVs
     ("train", [], "out"),
     ("predict", [], "out"),
+    ("evaluate", [], "out/trials.csv"),  # the second of its three files
+    ("inspect", [], "out/dist_zcr.csv"),
 ])
 def test_file_out_that_is_a_directory_refused_before_decoding(
     command, flags, taken, wav, tmp_path, monkeypatch, capsys
 ):
     taken = tmp_path / taken
-    taken.mkdir()
+    taken.mkdir(parents=True)
     decoded = spy_on_decoding(monkeypatch)
     assert spsgmm_cli.main([*argv_of(command, wav, tmp_path / "out"), "--p", "2", *flags]) == 2
     assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(taken)!r}\n"
     assert decoded == []
+    assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == [wav]
+
+
+@pytest.mark.parametrize("command, flags, taken, out", [
+    # sps.csv is not a file of --emit spectrogram
+    ("inspect", ["--emit", "spectrogram"], "out/sps.csv", "out"),
+    # no model is in the input directory yet, so train does not read one
+    ("train", [], "elsewhere", "in/model.txt"),
+])
+def test_output_the_run_can_write_reaches_decoding(command, flags, taken, out, wav, tmp_path,
+                                                    monkeypatch):
+    (tmp_path / taken).mkdir(parents=True)
+    decoded = spy_on_decoding(monkeypatch)
+    assert spsgmm_cli.main([*argv_of(command, wav, tmp_path / out), "--p", "2", *flags]) == 2
+    assert decoded == [str(wav)]
+
+
+@pytest.mark.parametrize("command, inputs, flags, out", [
+    ("extract", ["in/a.wav"], ["--feature", "sps-p"], "in/../in/a.wav"),  # the input WAV
+    ("predict", ["model.txt", "in/a.wav"], [], "model.txt"),  # the model
+    ("train", ["in", "in"], [], "in/model.txt"),  # a file of an input directory
+])
+def test_output_the_command_reads_refused_before_decoding(command, inputs, flags, out, wav,
+                                                          tmp_path, monkeypatch, capsys):
+    for model in (tmp_path / "model.txt", wav.parent / "model.txt"):
+        model.write_text("spsgmm v1\n")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    decoded = spy_on_decoding(monkeypatch)
+    out = tmp_path / out
+    argv = [command, *(str(tmp_path / i) for i in inputs), "--out", str(out), "--p", "2", *flags]
+    assert spsgmm_cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: refusing to write {out}: this command reads it\n"
+    assert decoded == []
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 @pytest.mark.parametrize("command", ("evaluate", "inspect"))
