@@ -56,15 +56,6 @@ def cells(table):
     return ((i, j, v) for i, row in enumerate(table) for j, v in enumerate(row))
 
 
-def is_smooth(n):
-    """True when the positive integer n has no prime factor above 5: the
-    lengths pocketfft transforms fastest."""
-    for q in (2, 3, 5):
-        while n % q == 0:
-            n //= q
-    return n == 1
-
-
 def usable_cores():
     """Cores this process may run on (its affinity mask where the OS has
     one)."""

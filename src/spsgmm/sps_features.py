@@ -18,12 +18,11 @@ of the interval's identity: the feature cache keys each interval's vectors
 by (source id, index), and feature_csv reads those from the intervals.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cells, csv_text, is_smooth
+from ._util import cells, csv_text
 from .errors import ConfigError, InputError
 from .sps_core import interior_maxima
 
@@ -96,8 +95,9 @@ def compute_attributes(S):
     L = S.shape[1]
     hi = int(S.max(initial=0))
     cap = lag_cap(L)
-    # the smallest FFT length >= L + cap that pocketfft transforms fastest
-    n = next(n for n in itertools.count(L + cap) if is_smooth(n))
+    # the next power of two >= L + cap (2048 for 1 s at 16 or 22.05 kHz); it is
+    # below 2 * (L + cap) <= 3L + 1, within the error bound's n <= 4L
+    n = 1 << (L + cap - 1).bit_length()
     # int64 holds every R exactly, and rint gives every P exactly
     if L**3 * hi**2 >= 2**63 or _lagged_sum_error_bound(L, hi, n) >= 0.25:
         raise InputError(

@@ -78,7 +78,7 @@ class TestComputeAttributes:
         "L, hi",
         [
             (9971, 661),  # 10 s at 44100 Hz with a 1 ms hop, bins up to 661
-            (2000, 8184),  # the largest max bin the error bound accepts at L = 2000
+            (2000, 8029),  # the largest max bin the error bound accepts at L = 2000
         ],
     )
     def test_largest_accepted_sizes_are_exact(self, L, hi):
@@ -98,7 +98,7 @@ class TestComputeAttributes:
     def test_past_the_fft_error_bound_is_error(self):
         # one bin above the largest max bin accepted at L = 2000: the int64 and
         # float64 limits still hold, so only the FFT error bound refuses it
-        L, hi = 2000, 8185
+        L, hi = 2000, 8030
         assert L**3 * hi**2 < 2**63 and L * hi**2 < 2**53
         S = np.zeros((1, L), np.int64)
         S[0, ::2] = hi
@@ -107,10 +107,10 @@ class TestComputeAttributes:
         S[0, ::2] = hi - 1
         compute_attributes(S)
 
-    @pytest.mark.parametrize("rate, n", [(16000, 1458), (22050, 1500)])
-    def test_autocorrelation_fft_length_is_5_smooth(self, monkeypatch, rate, n):
+    @pytest.mark.parametrize("rate, n", [(16000, 2048), (22050, 2048)])
+    def test_autocorrelation_fft_is_power_of_two(self, monkeypatch, rate, n):
         # 1 s at 30 ms / 1 ms: L = 971 (16 kHz) or 973 (22050 Hz) frames, so
-        # L + lag cap = 1457 or 1460, and the next 5-smooth lengths are these
+        # L + lag cap = 1457 or 1460, and the next power of two is 2048
         cfg = make_frame_config(rate, 30.0, 1.0)
         L = frame_interval(np.zeros(rate), cfg).shape[0]
         lengths, rfft = [], np.fft.rfft
