@@ -84,12 +84,11 @@ def map_row_blocks(fn, n_rows):
     The calling thread works through the blocks, and up to (usable cores - 1)
     pool threads take blocks too.  A helper that has not started when the
     caller runs out of blocks is cancelled, so a busy core never delays the
-    result.  With one usable core or one block, no thread is started.  fn
-    must be safe to call from several threads at once on disjoint rows."""
+    result.  With one usable core or one block there is no helper: the
+    caller runs every block in order and no thread is started.  fn must be
+    safe to call from several threads at once on disjoint rows."""
     blocks = [slice(i, min(i + BLOCK_ROWS, n_rows)) for i in range(0, n_rows, BLOCK_ROWS)]
     n_helpers = min(usable_cores(), len(blocks)) - 1
-    if n_helpers < 1:
-        return [fn(rows) for rows in blocks]
     results = [None] * len(blocks)
     todo = iter(range(len(blocks)))
     claim = threading.Lock()
