@@ -161,7 +161,11 @@ def segment_intervals(sig, interval_s, source_id="", label=None):
     dropped.  A signal shorter than one interval is an error."""
     if not 0 < interval_s < np.inf:
         raise InputError(f"interval_s must be finite and positive, got {interval_s}")
-    ilen = round(interval_s * sig.sample_rate)
+    samples = interval_s * sig.sample_rate
+    if samples == np.inf:  # round() cannot count it
+        raise InputError(f"interval of {interval_s * 1000:g} ms is {samples:g} samples at "
+                         f"{sig.sample_rate} Hz, too many to count")
+    ilen = round(samples)
     if ilen == 0:
         raise InputError(
             f"interval of {interval_s * 1000:g} ms is under one sample at "

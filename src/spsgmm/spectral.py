@@ -46,7 +46,11 @@ def make_frame_config(sample_rate, frame_ms, hop_ms, window="rect"):
     frame length is rounded to the nearest sample and bumped up to the next
     even number so the half-spectrum size n_f is well defined."""
     check_frame(frame_ms, hop_ms)
-    frame_len = round(frame_ms * sample_rate / 1000)
+    samples = frame_ms * sample_rate / 1000  # above the hop's, as frame_ms > hop_ms
+    if not 0.5 < samples < np.inf:  # round() would give 0, or fail
+        raise ConfigError(f"frame of {frame_ms:g} ms is {samples:g} samples at {sample_rate} Hz, "
+                          "which rounds to no usable frame length")
+    frame_len = round(samples)
     if frame_len % 2:
         frame_len += 1
     hop = max(1, round(hop_ms * sample_rate / 1000))

@@ -23,7 +23,18 @@ from spsgmm.pipeline import extract_corpus, extract_features
 from spsgmm.spectral import frame_interval, magnitude_spectra, make_frame_config
 from spsgmm.sps_core import build_peak_matrix
 
-from conftest import SR, wav_bytes
+from conftest import SR, fmt_chunk_bytes, wav_bytes
+
+
+def _riff(*chunks):
+    """A RIFF/WAVE file of the (id, body) chunks, each word aligned."""
+    body = b"".join(cid + struct.pack("<I", len(b)) + b + b"\x00" * (len(b) % 2)
+                    for cid, b in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+_FMT = (b"fmt ", fmt_chunk_bytes(1, 1, SR, 16))
+_DATA = (b"data", struct.pack("<h", 16384))
 
 
 class TestDecodeWav:
@@ -160,6 +171,25 @@ class TestDecodeWav:
         # four 0xff bytes would be a NaN, which decoding refuses
         path.write_bytes(_with_tail(np.array([0.25, -0.5], np.float32), b"\xff" * n, fmt="float32"))
         np.testing.assert_array_equal(decode_wav(path).samples, [0.25, -0.5])
+
+    @pytest.mark.parametrize("raw, message", [
+        (_riff(_FMT, _DATA) + b"LIS", "chunk header: truncated"),
+        (_riff((b"fmt ", _FMT[1][:14]), _DATA), "fmt chunk: too short"),
+        (_riff((b"fmt ", struct.pack("<H", 0xFFFE) + _FMT[1][2:]), _DATA),
+         "fmt chunk: extensible header too short"),
+        (_riff(_DATA), "fmt chunk: missing"),
+        (_riff((b"fmt ", fmt_chunk_bytes(1, 3, SR, 16)), _DATA),
+         "fmt chunk: unsupported channel count 3"),
+        (_riff((b"fmt ", fmt_chunk_bytes(1, 1, 0, 16)), _DATA), "fmt chunk: invalid sample rate 0"),
+        (_riff(_FMT, (b"data", b"")), "data chunk: no samples"),
+    ], ids=["short-chunk-header", "short-fmt", "short-extensible-fmt", "no-fmt",
+            "three-channels", "zero-rate", "empty-data"])
+    def test_malformed_chunk_refused_by_name(self, tmp_path, raw, message):
+        path = tmp_path / "bad.wav"
+        path.write_bytes(raw)
+        with pytest.raises(DecodeError) as exc:
+            decode_wav(path)
+        assert str(exc.value) == message
 
     def test_not_riff(self, tmp_path):
         path = tmp_path / "bad.wav"
@@ -392,6 +422,11 @@ class TestSegmentIntervals:
         sig = AudioSignal(data=np.zeros(22050), sample_rate=22050)
         with pytest.raises(InputError, match=r"0\.01 ms is under one sample at 22050 Hz"):
             segment_intervals(sig, 0.01 / 1000)  # round(0.2205) -> 0 samples
+
+    def test_interval_too_long_to_count_is_error(self):
+        sig = AudioSignal(data=np.zeros(22050), sample_rate=22050)
+        with pytest.raises(InputError, match=r"1e\+308 ms is inf samples at 22050 Hz, too many"):
+            segment_intervals(sig, 1e305)  # 2.2e309 samples: round(inf) would overflow
 
     @pytest.mark.parametrize("interval_s", [float("nan"), float("inf"), -float("inf"), 0.0])
     def test_non_finite_or_nonpositive_interval_is_named(self, interval_s):

@@ -800,6 +800,11 @@ class TestModelFormat:
             lines.insert(lines.index("class music"), weights)
         elif how == "ragged means":
             lines[m + 1] = lines[m + 1].rsplit(" ", 1)[0]
+        elif how == "narrow means":  # every row, so the block is not ragged
+            lines[m + 1 : m + 3] = [row.rsplit(" ", 1)[0] for row in lines[m + 1 : m + 3]]
+        elif how == "wide vars":
+            v = lines.index("vars")
+            lines[v + 1 : v + 3] = [row + " 1" for row in lines[v + 1 : v + 3]]
         elif how == "dim":
             lines[lines.index("dim 2")] = "dim 3"
         elif how == "unknown class":
@@ -834,6 +839,8 @@ class TestModelFormat:
             ("means before weights", "unexpected line in model file: 'means'"),
             ("ragged means", "ragged means"),
             ("dim", "dims disagree"),
+            ("narrow means", "dims disagree: standardizer 2, means rows 1"),
+            ("wide vars", "dims disagree: standardizer 2, vars rows 3"),
             ("unknown class", "unexpected line in model file: 'class cats'"),
             ("second speech class", "unexpected line in model file: 'class speech'"),
             ("misspelt key", "unexpected line in model file: 'chosen-k 2'"),

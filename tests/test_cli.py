@@ -150,6 +150,29 @@ class TestExtract:
         assert "Traceback" not in r.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--interval-ms", "1e308"],
+         "interval of 1e+308 ms is inf samples at 22050 Hz, too many to count"),
+        (["--frame-ms", "1e-9", "--hop-ms", "1e-10"],
+         "frame of 1e-09 ms is 2.205e-08 samples at 22050 Hz, which rounds to no usable frame"),
+    ])
+    def test_duration_of_no_countable_samples_exits_2(self, cli, speech_wav, tmp_path,
+                                                       flags, message):
+        out = tmp_path / "feats.csv"
+        r = cli("extract", speech_wav, "--out", out, *flags)
+        assert r.returncode == 2, r.stderr
+        assert message in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not out.exists()
+
+    def test_empty_directory_exits_2(self, cli, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        r = cli("extract", empty, "--p", 2, "--out", tmp_path / "feats.csv")
+        assert r.returncode == 2
+        assert r.stderr == f"error: no files in directory {empty}\n"
+        assert list(tmp_path.iterdir()) == [empty]
+
     def test_single_row_names_p(self, tmp_path, capsys):
         assert_refused("extract", ["--feature", "sps-p", "--p", "1"], p_case("extract")[1],
                        tmp_path, capsys)
@@ -466,6 +489,17 @@ class TestEvaluate:
         assert one.returncode == 0, one.stderr
         assert (tmp_path / "one" / "summary.csv").read_text().splitlines()[1] == summary[2]
 
+    def test_no_feasible_kind_exits_1_and_writes_nothing(self, cli, corpus_dirs, tmp_path):
+        out = tmp_path / "out"
+        r = cli(
+            "evaluate", corpus_dirs[0], corpus_dirs[1],
+            "--feature", "sps-scg", "--p", 3, "--k-grid", "64", "--trials", 2, "--out", out,
+        )
+        assert r.returncode == 1
+        assert "error: sps_scg: no feasible K in grid [64]" in r.stderr
+        assert r.stdout == ""
+        assert not out.exists()
+
     def test_missing_dir_exits_2(self, cli, corpus_dirs, tmp_path):
         r = cli(
             "evaluate", corpus_dirs[0], tmp_path / "nowhere",
@@ -645,6 +679,13 @@ class TestFileModes:
         assert str(info.value) == f"[Errno 21] Is a directory: {str(taken)!r}"
         assert list(tmp_path.iterdir()) == [taken] and list(taken.iterdir()) == []
 
+
+    def test_failed_open_names_the_path(self, tmp_path):
+        path = str(tmp_path / "missing" / "out.csv")
+        with pytest.raises(FileNotFoundError) as info:
+            atomic_write_text(path, "text\n")
+        assert str(info.value) == f"[Errno 2] No such file or directory: {path!r}"
+        assert list(tmp_path.iterdir()) == []
 
 class TestUsage:
     def test_help(self, cli):

@@ -1,5 +1,7 @@
 """Peak detection, prominent-peak selection, and the peak-sequence matrix."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -170,6 +172,11 @@ class TestBuildPeakMatrix:
         m = build_peak_matrix(mags, 3)
         np.testing.assert_array_equal(m.data, np.zeros((3, 4)))
         assert m.peakless_frames == 4
+
+    @pytest.mark.parametrize("shape", [(16,), (2, 3, 16)])
+    def test_not_two_dimensional_error(self, shape):
+        with pytest.raises(InputError, match=re.escape(f"expected a 2-D magnitude array, got shape {shape}")):
+            build_peak_matrix(np.zeros(shape), 2)
 
     def test_single_spectrum_error(self):
         with pytest.raises(InputError, match="at least 2"):

@@ -1,6 +1,8 @@
 """Row statistics of the peak matrix: periodicity, zero crossings, centroid
 statistics, and fusion."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -61,6 +63,11 @@ class TestComputeAttributes:
         attrs = compute_attributes(np.array([[2, 0, 2, 0]]))
         np.testing.assert_array_equal(attrs.centered[0], [1, -1, 1, -1])
         np.testing.assert_array_equal(attrs.autocorr[0], [1.0, -0.75, 0.5])
+
+    @pytest.mark.parametrize("shape", [(5,), (3, 1), (2, 3, 4)])
+    def test_not_p_by_at_least_two_is_error(self, shape):
+        with pytest.raises(InputError, match=re.escape(f"need a (p, L>=2) matrix, got shape {shape}")):
+            compute_attributes(np.zeros(shape, np.int64))
 
     def test_non_integer_or_negative_matrix_is_error(self):
         for S in ([[1.0, 2.0, 3.0]], [[1, -2, 3]]):
@@ -399,6 +406,10 @@ class TestCsvExports:
         ]
         with pytest.raises(InputError, match="mixed"):
             feature_csv(self._intervals(("a.wav", 0), ("a.wav", 1)), vecs)
+
+    def test_feature_csv_rejects_no_vectors(self):
+        with pytest.raises(InputError, match="no feature vectors to export"):
+            feature_csv([], [])
 
     def test_feature_csv_rejects_fewer_intervals_than_vectors(self):
         vecs = [FeatureVector(kind="sps_p", values=np.zeros(2))] * 2
