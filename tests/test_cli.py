@@ -679,13 +679,13 @@ class TestFileModes:
         assert str(info.value) == f"[Errno 21] Is a directory: {str(taken)!r}"
         assert list(tmp_path.iterdir()) == [taken] and list(taken.iterdir()) == []
 
-
     def test_failed_open_names_the_path(self, tmp_path):
         path = str(tmp_path / "missing" / "out.csv")
         with pytest.raises(FileNotFoundError) as info:
             atomic_write_text(path, "text\n")
         assert str(info.value) == f"[Errno 2] No such file or directory: {path!r}"
         assert list(tmp_path.iterdir()) == []
+
 
 class TestUsage:
     def test_help(self, cli):

@@ -175,7 +175,8 @@ class TestBuildPeakMatrix:
 
     @pytest.mark.parametrize("shape", [(16,), (2, 3, 16)])
     def test_not_two_dimensional_error(self, shape):
-        with pytest.raises(InputError, match=re.escape(f"expected a 2-D magnitude array, got shape {shape}")):
+        message = f"expected a 2-D magnitude array, got shape {shape}"
+        with pytest.raises(InputError, match=re.escape(message)):
             build_peak_matrix(np.zeros(shape), 2)
 
     def test_single_spectrum_error(self):

@@ -66,7 +66,8 @@ class TestComputeAttributes:
 
     @pytest.mark.parametrize("shape", [(5,), (3, 1), (2, 3, 4)])
     def test_not_p_by_at_least_two_is_error(self, shape):
-        with pytest.raises(InputError, match=re.escape(f"need a (p, L>=2) matrix, got shape {shape}")):
+        message = f"need a (p, L>=2) matrix, got shape {shape}"
+        with pytest.raises(InputError, match=re.escape(message)):
             compute_attributes(np.zeros(shape, np.int64))
 
     def test_non_integer_or_negative_matrix_is_error(self):
