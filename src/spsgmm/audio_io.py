@@ -53,20 +53,14 @@ class AudioSignal:
 
 
 @dataclass(frozen=True, eq=False)
-class AudioInterval:
+class AudioInterval(AudioSignal):
     """One fixed-duration window of a signal; the unit of classification.
-    data is a slice of the signal's data, and samples its mono floats, as
-    for AudioSignal."""
+    An AudioSignal whose data is a slice of the signal's data, with the
+    file it came from, its position there and its class."""
 
-    data: np.ndarray
-    sample_rate: int
     source_id: str
     index: int
     label: str | None = None  # "speech" | "music" | None
-
-    @property
-    def samples(self):
-        return _widen(self.data)
 
 
 def _check_left(f, n, what):
