@@ -272,6 +272,18 @@ def check_seed(name, value):
     check_counts(name, [value], least=0)
 
 
+def _class_counts(rows):
+    """[speech rows, music rows] of rows whose y holds one integer code, 0 or
+    1, per row, in a dtype that casts safely to intp as np.bincount needs;
+    any other y raises InputError."""
+    y = rows.y
+    if (not isinstance(y, np.ndarray) or not np.can_cast(y.dtype, np.intp)
+            or y.shape != rows.X.shape[:1] or not ((y == 0) | (y == 1)).all()):
+        raise InputError("training rows must be labeled, with codes 0 (speech) and 1 (music)")
+    music = int(np.count_nonzero(y))
+    return [y.size - music, music]
+
+
 def fit_gmm(train, K, seed=0):
     """Fit one K-component diagonal GMM per class on z-scored features;
     train is labelled Rows or a list of labelled FeatureVectors.  The
@@ -280,9 +292,7 @@ def fit_gmm(train, K, seed=0):
     check_counts("K", [K])
     check_seed("seed", seed)
     rows = train if isinstance(train, Rows) else as_rows(train)
-    counts = [] if rows.y is None else np.bincount(rows.y, minlength=len(LABELS)).tolist()
-    if len(counts) != len(LABELS):
-        raise InputError("training rows must be labeled, with codes 0 (speech) and 1 (music)")
+    counts = _class_counts(rows)
     d = rows.X.shape[1]
     for label, n in zip(LABELS, counts):
         if n < K * d:
@@ -371,8 +381,7 @@ def grid_search(train, grid=DEFAULT_K_GRID, seed=0):
     check_counts("K", grid)
     check_seed("seed", seed)
     rows = train if isinstance(train, Rows) else as_rows(train)
-    if rows.y is None:
-        raise InputError("training rows must be labeled")
+    _class_counts(rows)
     d = rows.X.shape[1]
     inner_train, inner_val = (
         rows.take(part) for part in stratified_split(rows.y, np.arange(rows.y.size), 0.8, seed)

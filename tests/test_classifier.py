@@ -195,6 +195,11 @@ class TestFitGmm:
                 fit_gmm(Rows("sps_p", rows.X, y), K=1)
         with pytest.raises(InputError, match="must be labeled"):
             grid_search(Rows("sps_p", rows.X), grid=[1])
+        # a code of -1, float codes, and 30 codes for 40 rows
+        for y in (np.where(rows.y == 1, -1, 0), rows.y.astype(float), rows.y[:30]):
+            for fit in (lambda r: fit_gmm(r, K=1), lambda r: grid_search(r, grid=[1])):
+                with pytest.raises(InputError, match=r"must be labeled, with codes 0 \(speech\)"):
+                    fit(Rows("sps_p", rows.X, y))
         with pytest.raises(FitError, match="'music' has 0 vectors"):
             fit_gmm(Rows("sps_p", rows.X, np.zeros_like(rows.y)), K=1)
 
